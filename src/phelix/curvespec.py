@@ -18,6 +18,7 @@ Forms and their coefficient layouts (all polynomial arrays ascending):
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
@@ -38,6 +39,15 @@ from .errors import DegenerateInputError, SpecParseError
 from .polynomials import GaussPoly, GaussianRational, RatPoly
 
 FORMS = ("quaternion", "bezier-quaternion", "hopf", "hodograph", "curve")
+
+# Largest |e| accepted in a decimal string such as "1.5e-3".  Fraction(str)
+# expands the exponent into an exact integer, so "1e2000000" alone would
+# build a 6.6-Mbit integer and larger exponents would not finish.  The bound
+# matches the interpreter's default limit on the digits of an integer string
+# (sys.get_int_max_str_digits()), which already bounds JSON integers.
+MAX_EXPONENT = 4300
+
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
 
 Payload = Union[
     QuaternionPolynomial, Tuple[Quaternion, ...], HopfPair, Hodograph, PolynomialCurve
@@ -92,8 +102,14 @@ def parse_rational(value) -> Fraction:
             f"float {value!r} is not exact; write rationals as strings like \"3/7\""
         )
     if isinstance(value, str):
+        text = value.strip()
         try:
-            return Fraction(value.strip())
+            exponent = _EXPONENT.search(text)
+            if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
+                raise SpecParseError(
+                    f"exponent in {value!r} exceeds the limit of {MAX_EXPONENT}"
+                )
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise SpecParseError(f"malformed rational {value!r}: {exc}") from exc
     raise SpecParseError(f"expected a rational, got {type(value).__name__} {value!r}")
@@ -250,7 +266,9 @@ def spec_to_doc(spec: CurveSpec) -> dict:
 def load_spec(text: str) -> CurveSpec:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError is a ValueError, and so is the refusal to convert
+        # an integer longer than sys.get_int_max_str_digits() digits
         raise SpecParseError(f"invalid JSON: {exc}") from exc
     return parse_spec(doc)
 

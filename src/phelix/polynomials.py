@@ -379,6 +379,17 @@ class _Polynomial:
         return f"{type(self).__name__}({list(self.coeffs)!r})"
 
 
+def _convolve(a: List[int], b: List[int]) -> List[int]:
+    """Coefficients of the product of two non-empty integer polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 class RatPoly(_Polynomial):
     """Univariate polynomial with exact rational coefficients."""
 
@@ -412,15 +423,9 @@ class RatPoly(_Polynomial):
             return RatPoly()
         s1, a = self._integer_form()
         s2, b = other._integer_form()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                out[i + j] += x * y
         scale = s1 * s2
         return RatPoly(
-            [Fraction(v * scale.numerator, scale.denominator) for v in out]
+            [Fraction(v * scale.numerator, scale.denominator) for v in _convolve(a, b)]
         )
 
     def rational_content(self) -> Fraction:
@@ -639,21 +644,38 @@ class ScaledSqrt:
 def perfect_square_root(p: RatPoly) -> Optional[ScaledSqrt]:
     """Square root of p as a real polynomial, or None if there is none.
 
-    p is the square of a real polynomial exactly when every square-free
-    multiplicity is even and the content is positive; the root is then
-    sqrt(content) times the product of half-multiplicity factors.
+    Write p = content * P with P primitive in Z[t] and positive leading
+    coefficient.  By Gauss's lemma, if P = q^2 over the rationals then q can
+    be taken primitive in Z[t] with positive leading coefficient, so p is
+    the square of a real polynomial exactly when the content is positive and
+    P is the square of an integer polynomial q; the root is then
+    sqrt(content) * q.  The top half of q follows from the top half of P,
+    one exact integer division per coefficient, and squaring q back decides
+    the rest.
     """
     if p.is_zero:
         return ScaledSqrt.zero()
-    content, factors = squarefree_decompose(p)
+    if p.degree % 2:
+        return None
+    content, primitive = p.primitive_positive()
     if content <= 0:
         return None
-    if any(mult % 2 for _, mult in factors):
+    target = [c.numerator for c in primitive.coeffs]
+    n = p.degree // 2
+    lead = math.isqrt(target[-1])
+    if lead * lead != target[-1]:
         return None
-    body = RatPoly.one()
-    for factor, mult in factors:
-        body = body * factor ** (mult // 2)
-    return ScaledSqrt(content, body)
+    q = [0] * n + [lead]
+    for k in range(n - 1, -1, -1):
+        # the t^(n+k) coefficient of q^2 is 2*q_n*q_k plus the cross terms
+        # of q_(k+1) .. q_(n-1), all of which are already known
+        partial = sum(q[i] * q[n + k - i] for i in range(k + 1, n))
+        q[k], remainder = divmod(target[n + k] - partial, 2 * lead)
+        if remainder:
+            return None
+    if _convolve(q, q) != target:
+        return None
+    return ScaledSqrt(content, RatPoly(q))
 
 
 def wronskian(z1, z2):

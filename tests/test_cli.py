@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+import phelix.quintic as quintic
 import phelix.references as references
+from phelix import InternalInconsistencyError, classify_quintic
+from phelix.analysis import HelixKind, HelixVerdict
 from phelix.cli import main
 from phelix.references import reference_curve
-from phelix.curvespec import dump_spec
+from phelix.curvespec import MAX_EXPONENT, dump_spec, parse_spec
 
 EXAMPLE1_DOC = {
     "form": "quaternion",
@@ -97,6 +100,36 @@ class TestClassify:
     def test_float_coefficient_rejected(self, tmp_path, capsys):
         doc = {"form": "hodograph", "coefficients": {"dx": [0.5], "dy": [], "dz": []}}
         assert main(["classify", write_doc(tmp_path, doc)]) == 1
+
+    def test_hostile_numbers_exit_cleanly(self, tmp_path, capsys):
+        huge_int = '{"form": "hodograph", "dx": [%s, 1], "dy": [0, 1], "dz": [1]}' % ("9" * 5000)
+        path = tmp_path / "huge.json"
+        path.write_text(huge_int)
+        assert main(["classify", str(path)]) == 1
+        big_exponent = {
+            "form": "hodograph",
+            "coefficients": {"dx": [f"1e{MAX_EXPONENT + 1}"], "dy": ["1"], "dz": []},
+        }
+        assert main(["classify", write_doc(tmp_path, big_exponent)]) == 1
+        assert "exponent" in capsys.readouterr().err
+
+
+class TestInternalInconsistency:
+    """Exit code 3 is reserved for two routes that disagree; fake a disagreement."""
+
+    @pytest.fixture(autouse=True)
+    def wrong_slope_test(self, monkeypatch):
+        monkeypatch.setattr(
+            quintic, "is_helix", lambda h: HelixVerdict(HelixKind.NOT_HELIX)
+        )
+
+    def test_classify_quintic_raises(self):
+        with pytest.raises(InternalInconsistencyError):
+            classify_quintic(parse_spec(EXAMPLE1_DOC).quaternion_form())
+
+    def test_cli_exit_code(self, tmp_path, capsys):
+        assert main(["classify", write_doc(tmp_path, EXAMPLE1_DOC)]) == 3
+        assert "internal inconsistency" in capsys.readouterr().err
 
 
 class TestAnalyze:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from phelix import SpecParseError, dump_spec, load_spec, parse_spec, spec_to_doc
-from phelix.curvespec import parse_rational
+from phelix.curvespec import MAX_EXPONENT, parse_rational
 
 
 QUAT_DOC = {
@@ -50,6 +50,13 @@ class TestParseRational:
             parse_rational("3/7/2")
         with pytest.raises(SpecParseError):
             parse_rational("1/0")
+
+    def test_exponent_limit(self):
+        assert parse_rational(f"1e{MAX_EXPONENT}") == 10**MAX_EXPONENT
+        assert parse_rational(f"1e-{MAX_EXPONENT}") == Fraction(1, 10**MAX_EXPONENT)
+        for text in (f"1e{MAX_EXPONENT + 1}", f"2.5E-{MAX_EXPONENT + 1}"):
+            with pytest.raises(SpecParseError, match="exponent"):
+                parse_rational(text)
 
 
 class TestParseSpec:
@@ -143,6 +150,11 @@ class TestRoundTrip:
     def test_invalid_json(self):
         with pytest.raises(SpecParseError):
             load_spec("{not json")
+
+    def test_integer_over_the_digit_limit(self):
+        text = '{"form": "hodograph", "coefficients": {"dx": [%s, 1], "dy": [0, 1], "dz": [1]}}'
+        with pytest.raises(SpecParseError, match="invalid JSON"):
+            load_spec(text % ("9" * 5000))
 
 
 class TestFormBridges:
