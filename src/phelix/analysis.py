@@ -13,10 +13,9 @@ is nonzero).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .curves import Hodograph
 from .errors import (
@@ -66,16 +65,14 @@ def torsion_numerator(h: Hodograph) -> RatPoly:
     return _dot(_cross_poly(h), a3)
 
 
-@dataclass(frozen=True)
-class CrossNorm:
+class CrossNorm(NamedTuple):
     """|alpha' ^ alpha''|^2 together with its real square root when one exists."""
 
     rho_squared: RatPoly
     rho: Optional[ScaledSqrt]
 
 
-@dataclass(frozen=True)
-class FrenetFrame:
+class FrenetFrame(NamedTuple):
     """Exact Frenet frame data.
 
     The tangent entries are fully normalized rational functions (tangent dot
@@ -91,8 +88,7 @@ class FrenetFrame:
     frame_scale: Fraction
 
 
-@dataclass(frozen=True)
-class CurvatureData:
+class CurvatureData(NamedTuple):
     """Curvature/torsion ingredients; sigma is present only for PH inputs."""
 
     sigma: Optional[ScaledSqrt]
@@ -108,8 +104,7 @@ class HelixKind:
     NOT_HELIX = "not-helix"
 
 
-@dataclass(frozen=True)
-class HelixVerdict:
+class HelixVerdict(NamedTuple):
     """Outcome of the constant-slope test.
 
     For helices, slope_squared is the exact square of the cosine of the angle
@@ -368,8 +363,7 @@ def frenet_frame(h: Hodograph) -> FrenetFrame:
     return FrenetFrame(tangent, binormal, normal, rho.scale)
 
 
-@dataclass(frozen=True)
-class CurveAnalysis:
+class CurveAnalysis(NamedTuple):
     """Everything the analyze pipeline computes for one hodograph."""
 
     sigma_squared: RatPoly

@@ -41,13 +41,22 @@ from .quintic import (
     generate_general_quintic,
     generate_monotone_quintic,
 )
-from .references import REFERENCE_NAMES, reference_curve, run_checks
 from .report import ReportDocument
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DEGENERATE = 2
 EXIT_INCONSISTENT = 3
+
+# The names of phelix.references.REFERENCE_NAMES, spelled out so that only
+# ``verify`` pays for importing the reference curves.
+REFERENCE_NAMES = ("example1", "example2", "counterexample")
+
+# Upper bounds on ``sample --n`` and ``sample --precision``.  Every row is
+# exact arithmetic printed at the requested precision, so the two bounds
+# cap the run time and the output (at most ~4 MB of CSV).
+MAX_SAMPLES = 10_000
+MAX_PRECISION = 100
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,12 +142,17 @@ def _cmd_analyze(ns) -> int:
 
 
 def _cmd_sample(ns) -> int:
+    if not 2 <= ns.n <= MAX_SAMPLES:
+        print(f"error: --n must be between 2 and {MAX_SAMPLES}", file=sys.stderr)
+        return EXIT_USAGE
+    if not 1 <= ns.precision <= MAX_PRECISION:
+        print(
+            f"error: --precision must be between 1 and {MAX_PRECISION}", file=sys.stderr
+        )
+        return EXIT_USAGE
     spec = _read_spec(ns.spec)
     start = parse_rational(getattr(ns, "from"))
     stop = parse_rational(ns.to)
-    if ns.n < 2:
-        print("error: --n must be at least 2", file=sys.stderr)
-        return EXIT_USAGE
     if not start < stop:
         print("error: --from must be smaller than --to", file=sys.stderr)
         return EXIT_USAGE
@@ -154,6 +168,8 @@ def _cmd_sample(ns) -> int:
 
 
 def _cmd_verify(ns) -> int:
+    from .references import reference_curve, run_checks
+
     names = REFERENCE_NAMES if ns.example == "all" else (ns.example,)
     failures = 0
     for name in names:
@@ -252,9 +268,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_spec_argument(p_sample)
     p_sample.add_argument("--from", default="0", help="start parameter (rational)")
     p_sample.add_argument("--to", default="1", help="end parameter (rational)")
-    p_sample.add_argument("--n", type=int, default=11, help="number of samples (>= 2)")
     p_sample.add_argument(
-        "--precision", type=int, default=12, help="significant digits in the output"
+        "--n", type=int, default=11, help=f"number of samples (2 to {MAX_SAMPLES})"
+    )
+    p_sample.add_argument(
+        "--precision",
+        type=int,
+        default=12,
+        help=f"significant digits in the output (1 to {MAX_PRECISION})",
     )
     p_sample.set_defaults(func=_cmd_sample)
 

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 from .curves import (
     Hodograph,
@@ -54,8 +53,7 @@ Payload = Union[
 ]
 
 
-@dataclass(frozen=True)
-class CurveSpec:
+class CurveSpec(NamedTuple):
     form: str
     payload: Payload
     origin: Tuple[Fraction, Fraction, Fraction] = (Fraction(0), Fraction(0), Fraction(0))
@@ -270,6 +268,9 @@ def load_spec(text: str) -> CurveSpec:
         # JSONDecodeError is a ValueError, and so is the refusal to convert
         # an integer longer than sys.get_int_max_str_digits() digits
         raise SpecParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        # the decoder recurses once per nested array or object
+        raise SpecParseError("invalid JSON: nested too deeply") from exc
     return parse_spec(doc)
 
 

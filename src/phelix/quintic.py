@@ -21,7 +21,6 @@ quadratic extension in general — so squareness of z^2 is checked structurally
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple, Union
 
@@ -60,8 +59,7 @@ class DecompositionCase:
     DEGENERATE = "degenerate"
 
 
-@dataclass(frozen=True)
-class WronskianDecomposition:
+class WronskianDecomposition(NamedTuple):
     """W = omega * z_squared in canonical form; fields are None when no
     decomposition exists (the degenerate case)."""
 
@@ -90,16 +88,14 @@ class DependenceSolution(NamedTuple):
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
-class QuinticClass:
+class QuinticClass(NamedTuple):
     kind: str
     dependence: Optional[DependenceSolution] = None
     shared_factor: Optional[GaussPoly] = None
     reason: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class ConstantZParameters:
+class ConstantZParameters(NamedTuple):
     """Branch-free rotation/weight parameters of the constant-z decomposition.
 
     With N = ay*c + az*cx - a*cy - ax*cz and D = az*c - ay*cx + ax*cy - a*cz
@@ -123,8 +119,7 @@ class ConstantZParameters:
         return (2 * self.m2_over_m1, 2 * self.m0_over_m1)
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Full two-route verdict for one quintic (or lower-degree) curve."""
 
     ph: Optional[ScaledSqrt]

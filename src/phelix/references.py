@@ -18,9 +18,8 @@ number makes the corresponding check fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from .analysis import CurveAnalysis, HelixKind, analyze
 from .curvespec import CurveSpec, parse_spec
@@ -39,16 +38,14 @@ from .quintic import (
 )
 
 
-@dataclass
-class ReferenceCurve:
+class ReferenceCurve(NamedTuple):
     name: str
     description: str
     spec: CurveSpec
     expected: Dict[str, object]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     expected: str

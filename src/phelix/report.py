@@ -7,9 +7,8 @@ human-readable rendering for convenience.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from .analysis import CurveAnalysis, HelixKind, HelixVerdict
 from .polynomials import GaussPoly, RatPoly, RationalFunction, ScaledSqrt
@@ -61,8 +60,7 @@ def encode_verdict(v: HelixVerdict) -> dict:
     }
 
 
-@dataclass
-class ReportDocument:
+class ReportDocument(NamedTuple):
     version: str
     input_doc: dict
     analysis: CurveAnalysis

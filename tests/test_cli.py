@@ -1,15 +1,19 @@
 """End-to-end CLI behaviour: commands, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import phelix.quintic as quintic
 import phelix.references as references
-from phelix import InternalInconsistencyError, classify_quintic
+from phelix import InternalInconsistencyError, RatPoly, classify_quintic
 from phelix.analysis import HelixKind, HelixVerdict
-from phelix.cli import main
+from phelix.cli import MAX_PRECISION, MAX_SAMPLES, main
 from phelix.references import reference_curve
 from phelix.curvespec import MAX_EXPONENT, dump_spec, parse_spec
 
@@ -113,23 +117,55 @@ class TestClassify:
         assert main(["classify", write_doc(tmp_path, big_exponent)]) == 1
         assert "exponent" in capsys.readouterr().err
 
+    def test_deep_nesting_exits_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        assert main(["classify", str(path)]) == 1
+        assert "nested too deeply" in capsys.readouterr().err
 
+
+# Exit code 3 is reserved for two routes that disagree.  Each fault breaks
+# one consistency check of the quintic classifier on example1, a monotone
+# helix: (attribute of phelix.quintic, replacement, message of the
+# InternalInconsistencyError it must raise).
+FAULTS = {
+    "slope-route": (
+        "is_helix",
+        lambda h: HelixVerdict(HelixKind.NOT_HELIX),
+        "algebraic classification disagrees with the constant-slope test",
+    ),
+    "route-case": (
+        "monotone_test",
+        lambda pair: None,
+        "constant-omega decomposition without a shared Hopf factor",
+    ),
+    "norm-test": (
+        "is_2ph",
+        lambda h: None,
+        "Wronskian decomposability disagrees with the polynomial-norm test",
+    ),
+    "decomposition-product": (
+        "_constant_square_split",
+        lambda w: (RatPoly([2]), w),
+        "Wronskian decomposition does not multiply back",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
 class TestInternalInconsistency:
-    """Exit code 3 is reserved for two routes that disagree; fake a disagreement."""
-
     @pytest.fixture(autouse=True)
-    def wrong_slope_test(self, monkeypatch):
-        monkeypatch.setattr(
-            quintic, "is_helix", lambda h: HelixVerdict(HelixKind.NOT_HELIX)
-        )
+    def inject(self, fault, monkeypatch):
+        attribute, replacement, _ = FAULTS[fault]
+        monkeypatch.setattr(quintic, attribute, replacement)
 
-    def test_classify_quintic_raises(self):
-        with pytest.raises(InternalInconsistencyError):
+    def test_classify_quintic_raises(self, fault):
+        with pytest.raises(InternalInconsistencyError, match=FAULTS[fault][2]):
             classify_quintic(parse_spec(EXAMPLE1_DOC).quaternion_form())
 
-    def test_cli_exit_code(self, tmp_path, capsys):
+    def test_cli_exit_code(self, fault, tmp_path, capsys):
         assert main(["classify", write_doc(tmp_path, EXAMPLE1_DOC)]) == 3
-        assert "internal inconsistency" in capsys.readouterr().err
+        assert f"internal inconsistency: {FAULTS[fault][2]}" in capsys.readouterr().err
 
 
 class TestAnalyze:
@@ -202,6 +238,30 @@ class TestSample:
         assert main(["sample", path, "--from", "1", "--to", "0"]) == 1
         assert main(["sample", path, "--n", "1"]) == 1
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--n", "0"),
+            ("--n", "-3"),
+            ("--n", str(MAX_SAMPLES + 1)),
+            ("--precision", "0"),
+            ("--precision", "-3"),
+            ("--precision", str(MAX_PRECISION + 1)),
+        ],
+    )
+    def test_out_of_range_count_or_precision(self, option, value, tmp_path, capsys):
+        path = write_doc(tmp_path, DEGREE7_DOC)
+        assert main(["sample", path, option, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{option} must be between" in captured.err
+
+    def test_largest_precision(self, tmp_path, capsys):
+        path = write_doc(tmp_path, DEGREE7_DOC)
+        assert main(["sample", path, "--n", "2", "--precision", str(MAX_PRECISION)]) == 0
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert len(last.split(",")[1].lstrip("-").replace(".", "")) == MAX_PRECISION
+
 
 class TestVerify:
     def test_all_pass(self, capsys):
@@ -217,6 +277,12 @@ class TestVerify:
         assert code == 0
         assert "example2." in out
         assert "example1." not in out
+
+    def test_unknown_example(self, capsys):
+        assert main(["verify", "--example", "example3"]) == 1
+        err = capsys.readouterr().err
+        assert "invalid choice: 'example3'" in err
+        assert "'example1', 'example2', 'counterexample', 'all'" in err
 
     def test_corrupted_expectation_fails(self, capsys, monkeypatch):
         def corrupted():
@@ -286,9 +352,6 @@ class TestUsage:
         assert main(["--version"]) == 0
 
     def test_module_entry_point(self, tmp_path):
-        import subprocess
-        import sys
-
         proc = subprocess.run(
             [sys.executable, "-m", "phelix", "classify", write_doc(tmp_path, EXAMPLE1_DOC)],
             capture_output=True,
@@ -296,3 +359,20 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert "monotone-helix" in proc.stdout
+
+    def test_import_path_stays_light(self):
+        # -S keeps the interpreter's site hooks, which may import anything,
+        # out of the check; phelix.references is needed by verify alone
+        code = (
+            "import sys, phelix.cli; "
+            "print(sorted({'dataclasses', 'phelix.references'} & set(sys.modules)))"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -156,6 +156,11 @@ class TestRoundTrip:
         with pytest.raises(SpecParseError, match="invalid JSON"):
             load_spec(text % ("9" * 5000))
 
+    @pytest.mark.parametrize("text", ["[" * 100000, "[" * 100000 + "]" * 100000])
+    def test_nesting_deeper_than_the_recursion_limit(self, text):
+        with pytest.raises(SpecParseError, match="nested too deeply"):
+            load_spec(text)
+
 
 class TestFormBridges:
     def test_quaternion_and_hopf_forms_agree(self):

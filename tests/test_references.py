@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from phelix import GaussPoly, RatPoly, RationalFunction, ScaledSqrt
+from phelix import GaussPoly, RatPoly, RationalFunction, ScaledSqrt, cli
 from phelix.references import (
     REFERENCE_NAMES,
     reference_curve,
@@ -58,5 +58,7 @@ def test_corrupting_any_stored_value_fails(name):
 
 def test_reference_names():
     assert set(REFERENCE_NAMES) == {"example1", "example2", "counterexample"}
+    # the CLI spells the names out so that it imports this module only for verify
+    assert cli.REFERENCE_NAMES == REFERENCE_NAMES
     with pytest.raises(KeyError):
         reference_curve("example3")
