@@ -11,20 +11,21 @@ __version__ = "1.0.0"
 
 from .analysis import (
     CrossNorm,
-    CurvatureData,
     CurveAnalysis,
     FrenetFrame,
     HelixKind,
     HelixVerdict,
+    Invariants,
     analyze,
     cross_norm,
-    curvature_torsion,
     frenet_frame,
-    helix_axis,
+    helix_verdict,
+    invariants,
     is_2ph,
     is_helix,
     is_ph,
     lancret_ratio_squared,
+    norms,
 )
 from .curves import (
     Hodograph,

@@ -9,6 +9,9 @@ the square suffices because with a nonzero constant lambda the identity
 det * sigma^3 = +/- lambda * rho^3 cannot switch branch where rho > 0 (a sign
 change would force a zero of the left side at a point where the right side
 is nonzero).
+
+Every question reads the same four invariants of the hodograph, so they are
+built once into an :class:`Invariants` record and each verdict reads that.
 """
 
 from __future__ import annotations
@@ -47,22 +50,34 @@ def _dot(u: Vec3, v: Vec3):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def speed_squared(h: Hodograph) -> RatPoly:
-    """|alpha'|^2 as an exact rational polynomial."""
+class Invariants(NamedTuple):
+    """The hodograph invariants that every verdict reads.
+
+    v is alpha', sigma_squared = <alpha', alpha'>, cross = alpha' ^ alpha'',
+    rho_squared = <cross, cross> and det = <cross, alpha'''>, which is
+    det(alpha', alpha'', alpha''').  All are exact rational polynomials.
+    """
+
+    v: Vec3
+    sigma_squared: RatPoly
+    cross: Vec3
+    rho_squared: RatPoly
+    det: RatPoly
+
+
+def invariants(h: Hodograph) -> Invariants:
+    """Build the invariants, taking each derivative and product once."""
     v = h.vector()
-    return _dot(v, v)
+    a2 = tuple(c.derivative() for c in v)
+    a3 = tuple(c.derivative() for c in a2)
+    cross = _cross(v, a2)
+    return Invariants(v, _dot(v, v), cross, _dot(cross, cross), _dot(cross, a3))
 
 
-def _cross_poly(h: Hodograph) -> Vec3:
-    v = h.vector()
-    return _cross(v, tuple(c.derivative() for c in v))
-
-
-def torsion_numerator(h: Hodograph) -> RatPoly:
-    """det(alpha', alpha'', alpha''') as an exact rational polynomial."""
-    v = h.vector()
-    a3 = tuple(c.derivative().derivative() for c in v)
-    return _dot(_cross_poly(h), a3)
+def norms(inv: Invariants) -> Tuple[Optional[ScaledSqrt], Optional[ScaledSqrt]]:
+    """(sigma, rho): the real square roots of sigma^2 and rho^2, each None
+    when its square is not the square of a real polynomial."""
+    return perfect_square_root(inv.sigma_squared), perfect_square_root(inv.rho_squared)
 
 
 class CrossNorm(NamedTuple):
@@ -86,15 +101,6 @@ class FrenetFrame(NamedTuple):
     binormal: Tuple[RationalFunction, RationalFunction, RationalFunction]
     normal: Tuple[RationalFunction, RationalFunction, RationalFunction]
     frame_scale: Fraction
-
-
-class CurvatureData(NamedTuple):
-    """Curvature/torsion ingredients; sigma is present only for PH inputs."""
-
-    sigma: Optional[ScaledSqrt]
-    cross: CrossNorm
-    torsion_numerator: RatPoly
-    lancret_ratio_squared: RationalFunction
 
 
 class HelixKind:
@@ -121,48 +127,32 @@ class HelixVerdict(NamedTuple):
 
 def cross_norm(h: Hodograph) -> CrossNorm:
     """|alpha' ^ alpha''|^2 via the literal cross product."""
-    c = _cross_poly(h)
-    rho_squared = _dot(c, c)
+    rho_squared = invariants(h).rho_squared
     return CrossNorm(rho_squared, perfect_square_root(rho_squared))
 
 
 def is_ph(h: Hodograph) -> Optional[ScaledSqrt]:
     """The speed as a real polynomial if |alpha'|^2 is a perfect square."""
-    return perfect_square_root(speed_squared(h))
+    return perfect_square_root(invariants(h).sigma_squared)
 
 
 def is_2ph(h: Hodograph) -> Optional[Tuple[ScaledSqrt, ScaledSqrt]]:
     """(sigma, rho) when both norms are real-polynomial squares, else None."""
-    sigma = is_ph(h)
-    if sigma is None:
-        return None
-    rho = cross_norm(h).rho
-    if rho is None:
-        return None
-    return sigma, rho
+    sigma, rho = norms(invariants(h))
+    return None if sigma is None or rho is None else (sigma, rho)
+
+
+def _lancret_ratio(inv: Invariants) -> RationalFunction:
+    s2, r2, det = inv.sigma_squared, inv.rho_squared, inv.det
+    return RationalFunction(det * det * s2 * s2 * s2, r2 * r2 * r2)
 
 
 def lancret_ratio_squared(h: Hodograph) -> RationalFunction:
     """(tau/kappa)^2 = det^2 * (sigma^2)^3 / (rho^2)^3, reduced."""
-    s2 = speed_squared(h)
-    c = _cross_poly(h)
-    r2 = _dot(c, c)
-    if r2.is_zero:
+    inv = invariants(h)
+    if inv.rho_squared.is_zero:
         raise LineDegeneracyError("curvature vanishes identically (straight line)")
-    det = torsion_numerator(h)
-    return RationalFunction(det * det * s2 * s2 * s2, r2 * r2 * r2)
-
-
-def curvature_torsion(h: Hodograph) -> CurvatureData:
-    cross = cross_norm(h)
-    if cross.rho_squared.is_zero:
-        raise LineDegeneracyError("curvature vanishes identically (straight line)")
-    return CurvatureData(
-        sigma=is_ph(h),
-        cross=cross,
-        torsion_numerator=torsion_numerator(h),
-        lancret_ratio_squared=lancret_ratio_squared(h),
-    )
+    return _lancret_ratio(inv)
 
 
 _TRIAL_POINTS = tuple(
@@ -170,9 +160,7 @@ _TRIAL_POINTS = tuple(
 )
 
 
-def _constant_ratio_value(
-    det: RatPoly, s2: RatPoly, rho_squared: RatPoly
-) -> Optional[Fraction]:
+def _constant_ratio_value(inv: Invariants) -> Optional[Fraction]:
     """The constant value of det^2 (s2)^3 / (rho^2)^3, or None.
 
     Constancy means det^2 * s2^3 = lambda * (rho^2)^3 as polynomials.  The
@@ -180,6 +168,7 @@ def _constant_ratio_value(
     exact point evaluations reject non-constant inputs without ever forming
     the large products, and survivors get the full polynomial comparison.
     """
+    det, s2, rho_squared = inv.det, inv.sigma_squared, inv.rho_squared
     if 2 * det.degree + 3 * s2.degree != 3 * rho_squared.degree:
         return None
     lam = (
@@ -198,21 +187,17 @@ def _constant_ratio_value(
     return lam
 
 
-def is_helix(h: Hodograph) -> HelixVerdict:
-    """Constant-slope classification of an arbitrary polynomial hodograph."""
-    c = _cross_poly(h)
-    rho_squared = _dot(c, c)
-    if rho_squared.is_zero:
+def helix_verdict(inv: Invariants) -> HelixVerdict:
+    """Constant-slope classification from the invariants of a hodograph."""
+    if inv.rho_squared.is_zero:
         return HelixVerdict(HelixKind.LINE)
-    det = torsion_numerator(h)
-    if det.is_zero:
-        axis, slope = _extract_axis(h, planar=True)
+    if inv.det.is_zero:
+        axis, slope = _extract_axis(inv, planar=True)
         return HelixVerdict(HelixKind.PLANAR, slope, axis)
-    s2 = speed_squared(h)
-    lam2 = _constant_ratio_value(det, s2, rho_squared)
+    lam2 = _constant_ratio_value(inv)
     if lam2 is None:
         return HelixVerdict(HelixKind.NOT_HELIX)
-    axis, slope = _extract_axis(h, planar=False)
+    axis, slope = _extract_axis(inv, planar=False)
     if slope != lam2 / (1 + lam2):
         raise InternalInconsistencyError(
             "slope from axis disagrees with the torsion/curvature ratio"
@@ -220,13 +205,9 @@ def is_helix(h: Hodograph) -> HelixVerdict:
     return HelixVerdict(HelixKind.HELIX, slope, axis)
 
 
-def helix_axis(
-    h: Hodograph, verdict: HelixVerdict
-) -> Tuple[Tuple[Fraction, Fraction, Fraction], Fraction]:
-    """Axis direction and squared slope for a helix or planar verdict."""
-    if verdict.kind not in (HelixKind.HELIX, HelixKind.PLANAR):
-        raise ValueError(f"no axis for verdict kind {verdict.kind!r}")
-    return _extract_axis(h, planar=verdict.kind == HelixKind.PLANAR)
+def is_helix(h: Hodograph) -> HelixVerdict:
+    """Constant-slope classification of an arbitrary polynomial hodograph."""
+    return helix_verdict(invariants(h))
 
 
 def _integer_cleared(values) -> Tuple[Fraction, ...]:
@@ -256,9 +237,7 @@ def _proportionality(num: RatPoly, den: RatPoly) -> Optional[Fraction]:
     return lam if num == lam * den else None
 
 
-def _verify_axis(
-    axis, v, c, s2: RatPoly, rho_squared: RatPoly
-) -> Optional[Fraction]:
+def _verify_axis(axis, inv: Invariants) -> Optional[Fraction]:
     """Slope^2 when the axis identities hold exactly, else None.
 
     The identities are <u, alpha'>^2 = slope^2 |u|^2 sigma^2 and
@@ -266,17 +245,19 @@ def _verify_axis(
     polynomials.
     """
     axis_norm2 = sum(a * a for a in axis)
-    tangent_proj = _dot(axis, v)
-    slope = _proportionality(tangent_proj * tangent_proj, axis_norm2 * s2)
+    tangent_proj = _dot(axis, inv.v)
+    slope = _proportionality(tangent_proj * tangent_proj, axis_norm2 * inv.sigma_squared)
     if slope is None:
         return None
-    binormal_proj = _dot(axis, c)
-    residual = binormal_proj * binormal_proj - (1 - slope) * axis_norm2 * rho_squared
+    binormal_proj = _dot(axis, inv.cross)
+    residual = (
+        binormal_proj * binormal_proj - (1 - slope) * axis_norm2 * inv.rho_squared
+    )
     return slope if residual.is_zero else None
 
 
 def _extract_axis(
-    h: Hodograph, planar: bool
+    inv: Invariants, planar: bool
 ) -> Tuple[Tuple[Fraction, Fraction, Fraction], Fraction]:
     """Recover the constant axis direction, verifying the defining identities.
 
@@ -289,22 +270,19 @@ def _extract_axis(
     verified identities make the shortcut exact, and a gcd-based extraction
     remains as fallback for evaluation points that all hit roots.
     """
-    v = h.vector()
-    c = _cross_poly(h)
-    rho_squared = _dot(c, c)
-    s2 = speed_squared(h)
+    v, c = inv.v, inv.cross
     if planar:
         candidate = c
     else:
-        det = torsion_numerator(h)
-        candidate = tuple(det * s2 * v[i] + rho_squared * c[i] for i in range(3))
+        det_s2 = inv.det * inv.sigma_squared
+        candidate = tuple(det_s2 * v[i] + inv.rho_squared * c[i] for i in range(3))
 
     for t in _TRIAL_POINTS:
         values = tuple(p.evaluate(t) for p in candidate)
         if not any(values):
             continue
         axis = _integer_cleared(values)
-        slope = _verify_axis(axis, v, c, s2, rho_squared)
+        slope = _verify_axis(axis, inv)
         if slope is not None:
             return axis, slope
         break
@@ -328,7 +306,7 @@ def _extract_axis(
             )
         parts.append(q.coefficient(0))
     axis = _integer_cleared(parts)
-    slope = _verify_axis(axis, v, c, s2, rho_squared)
+    slope = _verify_axis(axis, inv)
     if slope is None:
         raise InternalInconsistencyError("axis identities failed")
     return axis, slope
@@ -341,12 +319,12 @@ def frenet_frame(h: Hodograph) -> FrenetFrame:
     the tangent can be written with rational entries; quaternion-generated
     curves always satisfy this (their speed is itself a rational polynomial).
     """
-    norms = is_2ph(h)
-    if norms is None:
+    inv = invariants(h)
+    sigma, rho = norms(inv)
+    if sigma is None or rho is None:
         raise NotRationalFrameError(
             "Frenet frame entries are rational only for 2-PH curves"
         )
-    sigma, rho = norms
     if rho.is_zero:
         raise LineDegeneracyError("Frenet frame undefined along a straight line")
     sigma_root = rational_sqrt(sigma.scale)
@@ -356,9 +334,8 @@ def frenet_frame(h: Hodograph) -> FrenetFrame:
             "would not be rational"
         )
     speed = sigma_root * sigma.body
-    tangent = tuple(RationalFunction(p, speed) for p in h.vector())
-    c = _cross_poly(h)
-    binormal = tuple(RationalFunction(p, rho.body) for p in c)
+    tangent = tuple(RationalFunction(p, speed) for p in inv.v)
+    binormal = tuple(RationalFunction(p, rho.body) for p in inv.cross)
     normal = _cross(binormal, tangent)
     return FrenetFrame(tangent, binormal, normal, rho.scale)
 
@@ -384,14 +361,13 @@ class CurveAnalysis(NamedTuple):
 
 def analyze(h: Hodograph) -> CurveAnalysis:
     """Run every analysis that is defined for the input and bundle the results."""
-    cross = cross_norm(h)
-    det = torsion_numerator(h)
-    ratio = None if cross.rho_squared.is_zero else lancret_ratio_squared(h)
+    inv = invariants(h)
+    sigma, rho = norms(inv)
     return CurveAnalysis(
-        sigma_squared=speed_squared(h),
-        sigma=is_ph(h),
-        cross=cross,
-        torsion_numerator=det,
-        lancret_ratio_squared=ratio,
-        verdict=is_helix(h),
+        sigma_squared=inv.sigma_squared,
+        sigma=sigma,
+        cross=CrossNorm(inv.rho_squared, rho),
+        torsion_numerator=inv.det,
+        lancret_ratio_squared=None if inv.rho_squared.is_zero else _lancret_ratio(inv),
+        verdict=helix_verdict(inv),
     )

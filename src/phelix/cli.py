@@ -21,7 +21,6 @@ import random
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
@@ -74,7 +73,8 @@ def _read_spec(path: str) -> CurveSpec:
         text = sys.stdin.read()
     else:
         try:
-            text = Path(path).read_text()
+            with open(path) as f:
+                text = f.read()
         except OSError as exc:
             raise SpecParseError(f"cannot read {path}: {exc}") from exc
     return load_spec(text)

@@ -46,6 +46,14 @@ FORMS = ("quaternion", "bezier-quaternion", "hopf", "hodograph", "curve")
 # (sys.get_int_max_str_digits()), which already bounds JSON integers.
 MAX_EXPONENT = 4300
 
+# Largest degree of the hodograph a spec may imply: the hodograph's own
+# degree, one less than a curve's, twice a Hopf pair's (quaternion forms stop
+# at 4).  The exact norm, gcd and constancy tests grow steeply with degree:
+# ``phelix classify`` on a hodograph spec with single-digit coefficients took
+# 2.8 s at degree 8, 21 s at degree 12 and 30 s at degree 13 (Python 3.11.7,
+# one core of a shared 2-core x86-64 host).
+MAX_DEGREE = 12
+
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
 
 Payload = Union[
@@ -111,10 +119,6 @@ def parse_rational(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise SpecParseError(f"malformed rational {value!r}: {exc}") from exc
     raise SpecParseError(f"expected a rational, got {type(value).__name__} {value!r}")
-
-
-def format_rational(value: Fraction) -> str:
-    return str(value)
 
 
 def _parse_complex(value) -> GaussianRational:
@@ -191,11 +195,11 @@ def parse_spec(doc) -> CurveSpec:
         z1 = _parse_gauss_poly(coeffs["z1"], "z1")
         z2 = _parse_gauss_poly(coeffs["z2"], "z2")
         try:
-            return CurveSpec(form, HopfPair(z1, z2), origin)
+            payload = HopfPair(z1, z2)
         except DegenerateInputError as exc:
             raise SpecParseError(str(exc)) from exc
-
-    if form == "hodograph":
+        degree = 2 * payload.degree
+    elif form == "hodograph":
         _require_keys(coeffs, ("dx", "dy", "dz"), "hodograph coefficients")
         try:
             payload = Hodograph(
@@ -205,59 +209,67 @@ def parse_spec(doc) -> CurveSpec:
             )
         except DegenerateInputError as exc:
             raise SpecParseError(str(exc)) from exc
-        return CurveSpec(form, payload, origin)
-
-    _require_keys(coeffs, ("x", "y", "z"), "curve coefficients")
-    payload = PolynomialCurve(
-        _parse_rat_poly(coeffs["x"], "x"),
-        _parse_rat_poly(coeffs["y"], "y"),
-        _parse_rat_poly(coeffs["z"], "z"),
-    )
-    try:
-        payload.hodograph()
-    except DegenerateInputError as exc:
-        raise SpecParseError("curve is a single point") from exc
+        degree = payload.degree
+    else:
+        _require_keys(coeffs, ("x", "y", "z"), "curve coefficients")
+        payload = PolynomialCurve(
+            _parse_rat_poly(coeffs["x"], "x"),
+            _parse_rat_poly(coeffs["y"], "y"),
+            _parse_rat_poly(coeffs["z"], "z"),
+        )
+        try:
+            degree = payload.hodograph().degree
+        except DegenerateInputError as exc:
+            raise SpecParseError("curve is a single point") from exc
+    if degree > MAX_DEGREE:
+        raise SpecParseError(
+            f"{form}: hodograph degree {degree} exceeds the limit of {MAX_DEGREE}"
+        )
     return CurveSpec(form, payload, origin)
 
 
-def _encode_rat_poly(p: RatPoly):
-    return [format_rational(c) for c in p.coeffs]
+# The exact-value encoders, shared with the report documents: rationals
+# travel as the strings parse_rational reads back, polynomials as ascending
+# coefficient arrays.
 
 
-def _encode_gauss_poly(p: GaussPoly):
-    return [[format_rational(c.re), format_rational(c.im)] for c in p.coeffs]
+def encode_rationals(values) -> list:
+    return [str(v) for v in values]
 
 
-def _encode_quaternion(q: Quaternion):
-    return [format_rational(c) for c in q.components()]
+def encode_rat_poly(p: RatPoly) -> list:
+    return encode_rationals(p.coeffs)
+
+
+def encode_gauss_poly(p: GaussPoly) -> list:
+    return [encode_rationals((c.re, c.im)) for c in p.coeffs]
 
 
 def spec_to_doc(spec: CurveSpec) -> dict:
     """Canonical JSON-ready document; parse_spec inverts it exactly."""
     doc: dict = {"form": spec.form}
-    if spec.form == "quaternion":
-        doc["coefficients"] = [_encode_quaternion(c) for c in spec.payload.coeffs]
-    elif spec.form == "bezier-quaternion":
-        doc["coefficients"] = [_encode_quaternion(c) for c in spec.payload]
+    if spec.form in ("quaternion", "bezier-quaternion"):
+        quats = spec.payload.coeffs if spec.form == "quaternion" else spec.payload
+        doc["coefficients"] = [encode_rationals(q.components()) for q in quats]
     elif spec.form == "hopf":
         doc["coefficients"] = {
-            "z1": _encode_gauss_poly(spec.payload.z1),
-            "z2": _encode_gauss_poly(spec.payload.z2),
+            "z1": encode_gauss_poly(spec.payload.z1),
+            "z2": encode_gauss_poly(spec.payload.z2),
         }
     elif spec.form == "hodograph":
         doc["coefficients"] = {
-            "dx": _encode_rat_poly(spec.payload.dx),
-            "dy": _encode_rat_poly(spec.payload.dy),
-            "dz": _encode_rat_poly(spec.payload.dz),
+            "dx": encode_rat_poly(spec.payload.dx),
+            "dy": encode_rat_poly(spec.payload.dy),
+            "dz": encode_rat_poly(spec.payload.dz),
         }
     else:
         doc["coefficients"] = {
-            "x": _encode_rat_poly(spec.payload.x),
-            "y": _encode_rat_poly(spec.payload.y),
-            "z": _encode_rat_poly(spec.payload.z),
+            "x": encode_rat_poly(spec.payload.x),
+            "y": encode_rat_poly(spec.payload.y),
+            "z": encode_rat_poly(spec.payload.z),
         }
     if any(spec.origin):
-        doc["origin"] = [format_rational(c) for c in spec.origin]
+        doc["origin"] = encode_rationals(spec.origin)
     return doc
 
 

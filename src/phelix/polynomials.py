@@ -135,15 +135,11 @@ class GaussianRational:
 
     def __str__(self) -> str:
         if not self.im:
-            return _format_fraction(self.re)
+            return str(self.re)
         if not self.re:
             return _format_imaginary(self.im)
         sign = "-" if self.im < 0 else "+"
-        return f"{_format_fraction(self.re)} {sign} {_format_imaginary(abs(self.im))}"
-
-
-def _format_fraction(value: Fraction) -> str:
-    return str(value)
+        return f"{self.re} {sign} {_format_imaginary(abs(self.im))}"
 
 
 def _format_imaginary(value: Fraction) -> str:
@@ -454,12 +450,6 @@ class RatPoly(_Polynomial):
         content = self.rational_content()
         return content, type(self)([c / content for c in self.coeffs])
 
-    def evaluate_float(self, point: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * point + float(c)
-        return acc
-
     def __str__(self) -> str:
         return format_rat_poly(self)
 
@@ -617,9 +607,6 @@ class ScaledSqrt:
         if root is None:
             return None
         return root * self.body
-
-    def evaluate_float(self, point: float) -> float:
-        return math.sqrt(float(self.scale)) * self.body.evaluate_float(point)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ScaledSqrt):

@@ -24,7 +24,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple, Union
 
-from .analysis import HelixKind, HelixVerdict, is_2ph, is_helix, is_ph
+from .analysis import HelixKind, HelixVerdict, helix_verdict, invariants, is_helix, norms
 from .curves import (
     HopfPair,
     Quaternion,
@@ -319,10 +319,10 @@ def classify_quintic(curve: CurveInput) -> ClassificationReport:
     _check_degrees(pair)
 
     w = wronskian(pair.z1, pair.z2)
-    hodograph = hodograph_from_hopf(pair)
-    ph = is_ph(hodograph)
-    two_ph = is_2ph(hodograph)
-    lancret = is_helix(hodograph)
+    inv = invariants(hodograph_from_hopf(pair))
+    ph, rho = norms(inv)
+    two_ph = None if ph is None or rho is None else (ph, rho)
+    lancret = helix_verdict(inv)
 
     if w.is_zero:
         return ClassificationReport(

@@ -7,56 +7,45 @@ human-readable rendering for convenience.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List, NamedTuple, Optional
 
 from .analysis import CurveAnalysis, HelixKind, HelixVerdict
+from .curvespec import encode_gauss_poly, encode_rat_poly, encode_rationals
 from .polynomials import GaussPoly, RatPoly, RationalFunction, ScaledSqrt
 from .quintic import ClassificationReport
 
 TOOL_NAME = "phelix"
 
 
-def encode_fraction(value: Fraction) -> str:
-    return str(value)
+def _rat_poly_doc(p: RatPoly) -> dict:
+    return {"coefficients": encode_rat_poly(p), "rendered": str(p)}
 
 
-def encode_rat_poly(p: RatPoly) -> dict:
-    return {"coefficients": [str(c) for c in p.coeffs], "rendered": str(p)}
+def _gauss_poly_doc(p: GaussPoly) -> dict:
+    return {"coefficients": encode_gauss_poly(p), "rendered": str(p)}
 
 
-def encode_gauss_poly(p: GaussPoly) -> dict:
-    return {
-        "coefficients": [[str(c.re), str(c.im)] for c in p.coeffs],
-        "rendered": str(p),
-    }
-
-
-def encode_scaled_sqrt(s: Optional[ScaledSqrt]) -> Optional[dict]:
+def _scaled_sqrt_doc(s: Optional[ScaledSqrt]) -> Optional[dict]:
     if s is None:
         return None
-    return {
-        "scale": str(s.scale),
-        "body": [str(c) for c in s.body.coeffs],
-        "rendered": str(s),
-    }
+    return {"scale": str(s.scale), "body": encode_rat_poly(s.body), "rendered": str(s)}
 
 
-def encode_rational_function(r: Optional[RationalFunction]) -> Optional[dict]:
+def _rational_function_doc(r: Optional[RationalFunction]) -> Optional[dict]:
     if r is None:
         return None
     return {
-        "num": [str(c) for c in r.num.coeffs],
-        "den": [str(c) for c in r.den.coeffs],
+        "num": encode_rat_poly(r.num),
+        "den": encode_rat_poly(r.den),
         "rendered": str(r),
     }
 
 
-def encode_verdict(v: HelixVerdict) -> dict:
+def _verdict_doc(v: HelixVerdict) -> dict:
     return {
         "kind": v.kind,
         "slope_squared": None if v.slope_squared is None else str(v.slope_squared),
-        "axis": None if v.axis is None else [str(c) for c in v.axis],
+        "axis": None if v.axis is None else encode_rationals(v.axis),
     }
 
 
@@ -83,17 +72,17 @@ class ReportDocument(NamedTuple):
             "version": self.version,
             "input": self.input_doc,
             "analysis": {
-                "sigma_squared": encode_rat_poly(a.sigma_squared),
+                "sigma_squared": _rat_poly_doc(a.sigma_squared),
                 "is_ph": a.is_ph,
-                "sigma": encode_scaled_sqrt(a.sigma),
-                "rho_squared": encode_rat_poly(a.cross.rho_squared),
+                "sigma": _scaled_sqrt_doc(a.sigma),
+                "rho_squared": _rat_poly_doc(a.cross.rho_squared),
                 "is_2ph": a.is_2ph,
-                "rho": encode_scaled_sqrt(a.cross.rho),
-                "torsion_numerator": encode_rat_poly(a.torsion_numerator),
-                "lancret_ratio_squared": encode_rational_function(
+                "rho": _scaled_sqrt_doc(a.cross.rho),
+                "torsion_numerator": _rat_poly_doc(a.torsion_numerator),
+                "lancret_ratio_squared": _rational_function_doc(
                     a.lancret_ratio_squared
                 ),
-                "verdict": encode_verdict(a.verdict),
+                "verdict": _verdict_doc(a.verdict),
             },
         }
         if self.seed is not None:
@@ -101,22 +90,22 @@ class ReportDocument(NamedTuple):
         if self.classification is not None:
             c = self.classification
             doc["classification"] = {
-                "wronskian": encode_gauss_poly(c.wronskian),
+                "wronskian": _gauss_poly_doc(c.wronskian),
                 "decomposition": None
                 if c.decomposition is None
                 else {
                     "case": c.decomposition.case,
                     "omega": None
                     if c.decomposition.omega is None
-                    else encode_rat_poly(c.decomposition.omega),
+                    else _rat_poly_doc(c.decomposition.omega),
                     "z_squared": None
                     if c.decomposition.z_squared is None
-                    else encode_gauss_poly(c.decomposition.z_squared),
+                    else _gauss_poly_doc(c.decomposition.z_squared),
                 },
                 "kind": c.quintic_class.kind,
                 "shared_factor": None
                 if c.quintic_class.shared_factor is None
-                else encode_gauss_poly(c.quintic_class.shared_factor),
+                else _gauss_poly_doc(c.quintic_class.shared_factor),
                 "dependence": None
                 if c.quintic_class.dependence is None
                 else {

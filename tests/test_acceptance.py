@@ -23,7 +23,6 @@ from phelix import (
     frenet_frame,
     generate_general_quintic,
     generate_monotone_quintic,
-    helix_axis,
     hodograph_from_hopf,
     hodograph_from_quaternion,
     hopf_from_quaternion,
@@ -34,7 +33,6 @@ from phelix import (
     sigma_poly,
     wronskian,
 )
-from phelix.analysis import speed_squared
 from phelix.quintic import DecompositionCase, QuinticKind, decompose_wronskian_quintic
 from phelix.references import reference_curve
 
@@ -265,7 +263,7 @@ def test_criterion_10_helix_axis_identities():
     for h in hodographs:
         verdict = is_helix(h)
         assert verdict.kind == HelixKind.HELIX
-        axis, slope = helix_axis(h, verdict)
+        axis, slope = verdict.axis, verdict.slope_squared
         v = h.vector()
         d2 = tuple(p.derivative() for p in v)
         c = (
@@ -274,7 +272,7 @@ def test_criterion_10_helix_axis_identities():
             v[0] * d2[1] - v[1] * d2[0],
         )
         norm2 = sum(a * a for a in axis)
-        s2 = speed_squared(h)
+        s2 = v[0] ** 2 + v[1] ** 2 + v[2] ** 2
         r2 = c[0] ** 2 + c[1] ** 2 + c[2] ** 2
         proj_t = axis[0] * v[0] + axis[1] * v[1] + axis[2] * v[2]
         proj_b = axis[0] * c[0] + axis[1] * c[1] + axis[2] * c[2]

@@ -16,16 +16,15 @@ from phelix import (
     ScaledSqrt,
     analyze,
     cross_norm,
-    curvature_torsion,
     frenet_frame,
-    helix_axis,
     hodograph_from_quaternion,
+    invariants,
     is_2ph,
     is_helix,
     is_ph,
+    lancret_ratio_squared,
     sigma_poly,
 )
-from phelix.analysis import speed_squared
 from phelix.quintic import generate_general_quintic, generate_monotone_quintic
 from phelix.curves import hodograph_from_hopf
 from phelix.references import reference_curve
@@ -152,7 +151,7 @@ class TestFrenetFrame:
         # hodograph whose speed is sqrt(5) (1 + t^2); the tangent has no
         # rational-coefficient representation
         h = Hodograph(RatPoly([1, -4, -1]), RatPoly([2, 2, -2]), RatPoly())
-        assert speed_squared(h) == 5 * RatPoly([1, 0, 1]) ** 2
+        assert invariants(h).sigma_squared == 5 * RatPoly([1, 0, 1]) ** 2
         assert is_2ph(h) is not None
         with pytest.raises(NotRationalFrameError):
             frenet_frame(h)
@@ -160,7 +159,7 @@ class TestFrenetFrame:
 
 class TestCurvatureTorsion:
     def test_degree7_ratio(self):
-        data = curvature_torsion(degree7_hodograph())
+        data = analyze(degree7_hodograph())
         expected = RationalFunction(
             RatPoly([-9, 0, 0, 0, 9, 0, 2]) ** 2, 81 * RatPoly([1, 0, 1]) ** 4
         )
@@ -168,14 +167,14 @@ class TestCurvatureTorsion:
         assert data.sigma is not None
 
     def test_planar_parabola(self):
-        data = curvature_torsion(Hodograph(RatPoly([1]), RatPoly([0, 2]), RatPoly()))
+        data = analyze(Hodograph(RatPoly([1]), RatPoly([0, 2]), RatPoly()))
         assert data.torsion_numerator.is_zero
         assert data.lancret_ratio_squared.is_zero
         assert data.sigma is None  # 1 + 4t^2 is not a perfect square
 
     def test_line_raises(self):
         with pytest.raises(LineDegeneracyError):
-            curvature_torsion(Hodograph(RatPoly([2]), RatPoly([1]), RatPoly()))
+            lancret_ratio_squared(Hodograph(RatPoly([2]), RatPoly([1]), RatPoly()))
 
 
 class TestIsHelix:
@@ -224,16 +223,15 @@ class TestIsHelix:
 
 class TestHelixAxis:
     def test_planar_axis(self):
-        h = Hodograph(RatPoly([1]), RatPoly([0, 2]), RatPoly())
-        axis, slope = helix_axis(h, is_helix(h))
-        assert axis == (0, 0, 1)
-        assert slope == 0
+        verdict = is_helix(Hodograph(RatPoly([1]), RatPoly([0, 2]), RatPoly()))
+        assert verdict.axis == (0, 0, 1)
+        assert verdict.slope_squared == 0
 
     def test_axis_identities_on_example1(self):
         h = reference_curve("example1").spec.hodograph()
         verdict = is_helix(h)
-        axis, slope = helix_axis(h, verdict)
-        assert (axis, slope) == (verdict.axis, verdict.slope_squared)
+        assert analyze(h).verdict == verdict
+        axis, slope = verdict.axis, verdict.slope_squared
         v = h.vector()
         d2 = tuple(p.derivative() for p in v)
         c = (
@@ -244,15 +242,15 @@ class TestHelixAxis:
         norm2 = sum(a * a for a in axis)
         proj_t = axis[0] * v[0] + axis[1] * v[1] + axis[2] * v[2]
         proj_b = axis[0] * c[0] + axis[1] * c[1] + axis[2] * c[2]
-        s2 = speed_squared(h)
+        s2 = v[0] ** 2 + v[1] ** 2 + v[2] ** 2
         r2 = c[0] ** 2 + c[1] ** 2 + c[2] ** 2
         assert (proj_t * proj_t - slope * norm2 * s2).is_zero
         assert (proj_b * proj_b - (1 - slope) * norm2 * r2).is_zero
 
     def test_verdict_mismatch(self):
-        h = degree7_hodograph()
-        with pytest.raises(ValueError):
-            helix_axis(h, is_helix(h))
+        # a non-helix verdict carries neither an axis nor a slope
+        verdict = is_helix(degree7_hodograph())
+        assert verdict.axis is None and verdict.slope_squared is None
 
 
 class TestAnalyze:

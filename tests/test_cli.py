@@ -9,13 +9,14 @@ from pathlib import Path
 
 import pytest
 
+import phelix.analysis as analysis
 import phelix.quintic as quintic
 import phelix.references as references
-from phelix import InternalInconsistencyError, RatPoly, classify_quintic
+from phelix import InternalInconsistencyError, RatPoly, classify_quintic, perfect_square_root
 from phelix.analysis import HelixKind, HelixVerdict
 from phelix.cli import MAX_PRECISION, MAX_SAMPLES, main
 from phelix.references import reference_curve
-from phelix.curvespec import MAX_EXPONENT, dump_spec, parse_spec
+from phelix.curvespec import MAX_DEGREE, MAX_EXPONENT, dump_spec, parse_spec
 
 EXAMPLE1_DOC = {
     "form": "quaternion",
@@ -117,6 +118,12 @@ class TestClassify:
         assert main(["classify", write_doc(tmp_path, big_exponent)]) == 1
         assert "exponent" in capsys.readouterr().err
 
+    def test_degree_over_the_limit_exits_cleanly(self, tmp_path, capsys):
+        ones = ["1"] * (MAX_DEGREE + 2)
+        doc = {"form": "hodograph", "coefficients": {"dx": ones, "dy": ones, "dz": ["1"]}}
+        assert main(["classify", write_doc(tmp_path, doc)]) == 1
+        assert f"exceeds the limit of {MAX_DEGREE}" in capsys.readouterr().err
+
     def test_deep_nesting_exits_cleanly(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100000)
@@ -125,29 +132,45 @@ class TestClassify:
 
 
 # Exit code 3 is reserved for two routes that disagree.  Each fault breaks
-# one consistency check of the quintic classifier on example1, a monotone
-# helix: (attribute of phelix.quintic, replacement, message of the
-# InternalInconsistencyError it must raise).
+# one consistency check of the quintic classifier or of the constant-slope
+# test on example1, a monotone helix: (phelix module, attribute, replacement,
+# message of the InternalInconsistencyError it must raise).
 FAULTS = {
     "slope-route": (
-        "is_helix",
-        lambda h: HelixVerdict(HelixKind.NOT_HELIX),
+        quintic,
+        "helix_verdict",
+        lambda inv: HelixVerdict(HelixKind.NOT_HELIX),
         "algebraic classification disagrees with the constant-slope test",
     ),
     "route-case": (
+        quintic,
         "monotone_test",
         lambda pair: None,
         "constant-omega decomposition without a shared Hopf factor",
     ),
     "norm-test": (
-        "is_2ph",
-        lambda h: None,
+        quintic,
+        "norms",
+        lambda inv: (perfect_square_root(inv.sigma_squared), None),
         "Wronskian decomposability disagrees with the polynomial-norm test",
     ),
     "decomposition-product": (
+        quintic,
         "_constant_square_split",
         lambda w: (RatPoly([2]), w),
         "Wronskian decomposition does not multiply back",
+    ),
+    "slope-ratio": (
+        analysis,
+        "_constant_ratio_value",
+        lambda inv: Fraction(1),
+        "slope from axis disagrees with the torsion/curvature ratio",
+    ),
+    "axis-identities": (
+        analysis,
+        "_verify_axis",
+        lambda axis, inv: None,
+        "axis identities failed",
     ),
 }
 
@@ -156,16 +179,16 @@ FAULTS = {
 class TestInternalInconsistency:
     @pytest.fixture(autouse=True)
     def inject(self, fault, monkeypatch):
-        attribute, replacement, _ = FAULTS[fault]
-        monkeypatch.setattr(quintic, attribute, replacement)
+        module, attribute, replacement, _ = FAULTS[fault]
+        monkeypatch.setattr(module, attribute, replacement)
 
     def test_classify_quintic_raises(self, fault):
-        with pytest.raises(InternalInconsistencyError, match=FAULTS[fault][2]):
+        with pytest.raises(InternalInconsistencyError, match=FAULTS[fault][3]):
             classify_quintic(parse_spec(EXAMPLE1_DOC).quaternion_form())
 
     def test_cli_exit_code(self, fault, tmp_path, capsys):
         assert main(["classify", write_doc(tmp_path, EXAMPLE1_DOC)]) == 3
-        assert f"internal inconsistency: {FAULTS[fault][2]}" in capsys.readouterr().err
+        assert f"internal inconsistency: {FAULTS[fault][3]}" in capsys.readouterr().err
 
 
 class TestAnalyze:
@@ -362,10 +385,11 @@ class TestUsage:
 
     def test_import_path_stays_light(self):
         # -S keeps the interpreter's site hooks, which may import anything,
-        # out of the check; phelix.references is needed by verify alone
+        # out of the check; phelix.references is needed by verify alone, and
+        # pathlib brings fnmatch, urllib.parse and ipaddress for nothing
         code = (
             "import sys, phelix.cli; "
-            "print(sorted({'dataclasses', 'phelix.references'} & set(sys.modules)))"
+            "print(sorted({'dataclasses', 'pathlib', 'phelix.references'} & set(sys.modules)))"
         )
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from phelix import SpecParseError, dump_spec, load_spec, parse_spec, spec_to_doc
-from phelix.curvespec import MAX_EXPONENT, parse_rational
+from phelix.curvespec import MAX_DEGREE, MAX_EXPONENT, parse_rational
 
 
 QUAT_DOC = {
@@ -81,6 +81,25 @@ class TestParseSpec:
         doc = {"form": "quaternion", "coefficients": [["1", "0", "0", "0"]] * 4}
         with pytest.raises(SpecParseError):
             parse_spec(doc)
+
+    @pytest.mark.parametrize(
+        "form, keys, width",
+        [
+            ("hodograph", ("dx", "dy", "dz"), lambda d: d + 1),
+            ("curve", ("x", "y", "z"), lambda d: d + 2),
+            ("hopf", ("z1", "z2"), lambda d: d // 2 + 1),
+        ],
+    )
+    def test_hodograph_degree_limit(self, form, keys, width):
+        # only parsed, never analysed: the bound is checked before any algebra
+        def doc(degree):
+            one = ["1", "0"] if form == "hopf" else "1"
+            return {"form": form, "coefficients": {k: [one] * width(degree) for k in keys}}
+
+        assert parse_spec(doc(MAX_DEGREE)).hodograph().degree <= MAX_DEGREE
+        over = MAX_DEGREE + 2 if form == "hopf" else MAX_DEGREE + 1
+        with pytest.raises(SpecParseError, match=f"degree {over} exceeds the limit"):
+            parse_spec(doc(over))
 
     def test_zero_polynomial_rejected(self):
         doc = {"form": "quaternion", "coefficients": [["0", "0", "0", "0"]]}

@@ -7,10 +7,10 @@ from phelix import (
     classify_quintic,
     constant_z_parameters,
     cross_norm,
-    curvature_torsion,
     decompose_wronskian_quintic,
     frenet_frame,
     hopf_from_quaternion,
+    invariants,
     is_helix,
 )
 from phelix.cli import _build_report
@@ -26,7 +26,7 @@ def _records():
     return {
         "CrossNorm": cross_norm(h),
         "FrenetFrame": frenet_frame(h),
-        "CurvatureData": curvature_torsion(h),
+        "Invariants": invariants(h),
         "HelixVerdict": is_helix(h),
         "CurveAnalysis": analyze(h),
         "CurveSpec": spec,
