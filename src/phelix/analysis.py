@@ -256,6 +256,12 @@ def _verify_axis(axis, inv: Invariants) -> Optional[Fraction]:
     return slope if residual.is_zero else None
 
 
+def _darboux(det, s2, r2, v, c) -> Vec3:
+    """det * s2 * v + r2 * c, on the invariant polynomials or on their values."""
+    det_s2 = det * s2
+    return tuple(det_s2 * vi + r2 * ci for vi, ci in zip(v, c))
+
+
 def _extract_axis(
     inv: Invariants, planar: bool
 ) -> Tuple[Tuple[Fraction, Fraction, Fraction], Fraction]:
@@ -266,19 +272,17 @@ def _extract_axis(
     sigma^3 * rho^2 so that the vector reads det * sigma^2 * alpha' +
     rho^2 * (alpha' ^ alpha'') — a rational polynomial vector that is a scalar
     polynomial times the constant direction.  Evaluating that vector at any
-    parameter where it does not vanish therefore already yields the axis; the
-    verified identities make the shortcut exact, and a gcd-based extraction
+    parameter where it does not vanish therefore already yields the axis,
+    assembled from the values of its factors.  The verified identities make
+    the shortcut exact, and a gcd-based extraction on the expanded vector
     remains as fallback for evaluation points that all hit roots.
     """
     v, c = inv.v, inv.cross
-    if planar:
-        candidate = c
-    else:
-        det_s2 = inv.det * inv.sigma_squared
-        candidate = tuple(det_s2 * v[i] + inv.rho_squared * c[i] for i in range(3))
-
     for t in _TRIAL_POINTS:
-        values = tuple(p.evaluate(t) for p in candidate)
+        values = tuple(p.evaluate(t) for p in c)
+        if not planar:
+            scalars = (p.evaluate(t) for p in (inv.det, inv.sigma_squared, inv.rho_squared))
+            values = _darboux(*scalars, tuple(p.evaluate(t) for p in v), values)
         if not any(values):
             continue
         axis = _integer_cleared(values)
@@ -288,6 +292,7 @@ def _extract_axis(
         break
 
     # fallback: divide out the scalar polynomial explicitly
+    candidate = c if planar else _darboux(inv.det, inv.sigma_squared, inv.rho_squared, v, c)
     nonzero = [p for p in candidate if not p.is_zero]
     if not nonzero:
         raise InternalInconsistencyError("axis candidate vector vanished identically")

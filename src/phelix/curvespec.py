@@ -51,7 +51,11 @@ MAX_EXPONENT = 4300
 # at 4).  The exact norm, gcd and constancy tests grow steeply with degree:
 # ``phelix classify`` on a hodograph spec with single-digit coefficients took
 # 2.8 s at degree 8, 21 s at degree 12 and 30 s at degree 13 (Python 3.11.7,
-# one core of a shared 2-core x86-64 host).
+# one core of a shared 2-core x86-64 host).  Under cProfile at degree 12,
+# 99.6% of the run is the Fraction Euclid gcd that reduces (tau/kappa)^2 in
+# ``analyze`` (81% in its divisions, 18% in making remainders monic, 54% in
+# the ``math.gcd`` calls of Fraction normalization); building the invariants
+# takes 0.1%, and a degree-12 hodograph never reaches the quintic casework.
 MAX_DEGREE = 12
 
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")

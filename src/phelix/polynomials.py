@@ -190,11 +190,6 @@ class _Polynomial:
     def constant(cls, value):
         return cls([value])
 
-    @classmethod
-    def variable(cls):
-        """The monomial t."""
-        return cls([cls._field_zero(), cls._field_one()])
-
     # -- structure -----------------------------------------------------------
 
     @property
@@ -318,14 +313,6 @@ class _Polynomial:
             acc = acc * point + c
         return acc
 
-    def compose_affine(self, a, b):
-        """The polynomial p(a*t + b), computed exactly by Horner."""
-        lin = type(self)([b, a])
-        acc = type(self)()
-        for c in reversed(self.coeffs):
-            acc = acc * lin + type(self)([c])
-        return acc
-
     # -- field-coefficient division --------------------------------------------
 
     def __divmod__(self, other):
@@ -359,11 +346,6 @@ class _Polynomial:
         if not r.is_zero:
             raise DegenerateInputError(f"{other!s} does not divide {self!s} exactly")
         return q
-
-    def divides(self, other) -> bool:
-        if self.is_zero:
-            return other.is_zero
-        return (other % self).is_zero
 
     def monic(self):
         if self.is_zero:
@@ -423,6 +405,20 @@ class RatPoly(_Polynomial):
         return RatPoly(
             [Fraction(v * scale.numerator, scale.denominator) for v in _convolve(a, b)]
         )
+
+    def evaluate(self, point):
+        # p(a/b) = sum c_k a^k b^(n-k) / b^n on the integer form: integer
+        # Horner and one Fraction, instead of two Fraction operations per term
+        point = as_fraction(point)
+        if self.is_zero:
+            return Fraction(0)
+        scale, ints = self._integer_form()
+        a, b = point.numerator, point.denominator
+        acc, power = ints[-1], 1
+        for c in reversed(ints[:-1]):
+            power *= b
+            acc = acc * a + c * power
+        return Fraction(acc * scale.numerator, scale.denominator * power)
 
     def rational_content(self) -> Fraction:
         """Signed content c with self = c * primitive.
@@ -585,15 +581,6 @@ class ScaledSqrt:
     def zero(cls) -> "ScaledSqrt":
         return cls(1, RatPoly())
 
-    @classmethod
-    def of_rational(cls, value: RatLike) -> "ScaledSqrt":
-        value = as_fraction(value)
-        if value < 0:
-            raise DegenerateInputError("cannot represent a negative value")
-        if not value:
-            return cls.zero()
-        return cls(value * value, RatPoly.one())
-
     @property
     def is_zero(self) -> bool:
         return self.body.is_zero
@@ -710,13 +697,6 @@ class RationalFunction:
     @property
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant:
-            raise DegenerateInputError(f"{self!s} is not constant")
-        if self.num.is_zero:
-            return Fraction(0)
-        return self.num.coeffs[0] / self.den.coeffs[0]
 
     def evaluate(self, point: RatLike) -> Fraction:
         point = as_fraction(point)

@@ -57,6 +57,15 @@ def rand_quaternion_quadratic(rng: random.Random, height: int = 9) -> Quaternion
             return a
 
 
+def compose_affine(p: RatPoly, a, b) -> RatPoly:
+    """The polynomial p(a*t + b), computed exactly by Horner."""
+    lin = RatPoly([b, a])
+    acc = RatPoly()
+    for c in reversed(p.coeffs):
+        acc = acc * lin + c
+    return acc
+
+
 def sylvester_resultant(p, q):
     """Exact resultant via the Sylvester matrix (fraction-free expansion).
 

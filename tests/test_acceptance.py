@@ -76,7 +76,7 @@ def test_criterion_02_example1_classification():
     assert shared == GaussPoly([G(-1, -2), G(1)])  # t - (1 + 2i), monic
     assert report.lancret.kind == HelixKind.HELIX
     ratio = lancret_ratio_squared(hodograph_from_quaternion(EXAMPLE1))
-    assert ratio.is_constant and ratio.constant_value() == Fraction(9, 50)
+    assert ratio.is_constant and ratio == RationalFunction.constant(Fraction(9, 50))
     _report(2, "example1 classifies monotone-helix with constant (tau/kappa)^2")
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from conftest import quaternion_quadratics, rand_rat_poly, seeded
+from conftest import compose_affine, quaternion_quadratics, rand_rat_poly, seeded
 from phelix import (
     HelixKind,
     Hodograph,
@@ -17,14 +17,17 @@ from phelix import (
     analyze,
     cross_norm,
     frenet_frame,
+    helix_verdict,
     hodograph_from_quaternion,
     invariants,
     is_2ph,
     is_helix,
     is_ph,
     lancret_ratio_squared,
+    poly_gcd,
     sigma_poly,
 )
+from phelix import analysis
 from phelix.quintic import generate_general_quintic, generate_monotone_quintic
 from phelix.curves import hodograph_from_hopf
 from phelix.references import reference_curve
@@ -101,7 +104,7 @@ class TestFrenetFrame:
         assert frame.tangent[2].is_zero
         assert frame.frame_scale == 4
         # stored binormal is the unit binormal times sqrt(frame_scale)
-        assert frame.binormal[2].constant_value() in (2, -2)
+        assert frame.binormal[2] in [RationalFunction.constant(c) for c in (2, -2)]
 
     def test_degree7_frame_at_zero(self):
         frame = frenet_frame(degree7_hodograph())
@@ -214,7 +217,7 @@ class TestIsHelix:
             for a, b in ((Fraction(2), Fraction(-1)), (Fraction(-1, 3), Fraction(5, 7))):
                 # curve t -> alpha(a t + b) has hodograph a * alpha'(a t + b)
                 reparam = Hodograph(
-                    *(a * p.compose_affine(a, b) for p in h.vector())
+                    *(a * compose_affine(p, a, b) for p in h.vector())
                 )
                 assert is_helix(reparam).kind == kind
             scaled = Hodograph(*(Fraction(3, 7) * p for p in h.vector()))
@@ -246,6 +249,34 @@ class TestHelixAxis:
         r2 = c[0] ** 2 + c[1] ** 2 + c[2] ** 2
         assert (proj_t * proj_t - slope * norm2 * s2).is_zero
         assert (proj_b * proj_b - (1 - slope) * norm2 * r2).is_zero
+
+    @pytest.mark.parametrize("family", ["monotone", "general", "planar"])
+    def test_gcd_fallback_matches_trial_points(self, monkeypatch, family):
+        rng = seeded(29)
+        if family == "monotone":
+            h = hodograph_from_hopf(generate_monotone_quintic(rng, height=6))
+        elif family == "general":
+            h = hodograph_from_quaternion(generate_general_quintic(rng, height=6))
+        else:
+            # in the plane z = x + y, so all three cross-product entries are nonzero
+            x, y = RatPoly([0, 2]), RatPoly([1, 0, -1])
+            h = Hodograph(x, y, x + y)
+        expected = helix_verdict(invariants(h))
+        assert expected.kind == (HelixKind.PLANAR if family == "planar" else HelixKind.HELIX)
+        gcd_calls = []
+
+        def counting_gcd(a, b):
+            gcd_calls.append(1)
+            return poly_gcd(a, b)
+
+        # with no trial point the axis can only come from the gcd fallback
+        monkeypatch.setattr(analysis, "_TRIAL_POINTS", ())
+        monkeypatch.setattr(analysis, "poly_gcd", counting_gcd)
+        fallback = helix_verdict(invariants(h))
+        assert gcd_calls
+        assert fallback.kind == expected.kind
+        assert fallback.slope_squared == expected.slope_squared
+        assert fallback.axis == expected.axis
 
     def test_verdict_mismatch(self):
         # a non-helix verdict carries neither an axis nor a slope

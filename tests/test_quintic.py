@@ -266,11 +266,11 @@ class TestClassify:
         assert report.quintic_class.dependence is None
         assert report.lancret.kind == HelixKind.HELIX
         ratio = None
-        from phelix import lancret_ratio_squared
+        from phelix import RationalFunction, lancret_ratio_squared
         from phelix.curves import hodograph_from_hopf
 
         ratio = lancret_ratio_squared(hodograph_from_hopf(pair))
-        assert ratio.is_constant and ratio.constant_value() == 1
+        assert ratio.is_constant and ratio == RationalFunction.constant(1)
 
     def test_degree_limit(self):
         cubic = QuaternionPolynomial([Quaternion(1), Quaternion(), Quaternion(), Quaternion(1)])
