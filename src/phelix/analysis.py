@@ -17,7 +17,6 @@ built once into an :class:`Invariants` record and each verdict reads that.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
 from typing import NamedTuple, Optional, Tuple
 
 from .curves import Hodograph
@@ -31,7 +30,7 @@ from .polynomials import (
     RationalFunction,
     ScaledSqrt,
     perfect_square_root,
-    poly_gcd,
+    primitive_split,
     rational_sqrt,
 )
 
@@ -155,9 +154,9 @@ def lancret_ratio_squared(h: Hodograph) -> RationalFunction:
     return _lancret_ratio(inv)
 
 
-_TRIAL_POINTS = tuple(
-    Fraction(v) for v in (0, 1, -1, 2, -2, Fraction(1, 2), 3, Fraction(-1, 3))
-)
+def _scan_points(n: int) -> Tuple[Fraction, ...]:
+    """The first n points of 0, 1, -1, 2, -2, ...; they are distinct."""
+    return tuple(Fraction((k + 1) // 2 if k % 2 else -(k // 2)) for k in range(n))
 
 
 def _constant_ratio_value(inv: Invariants) -> Optional[Fraction]:
@@ -176,7 +175,7 @@ def _constant_ratio_value(inv: Invariants) -> Optional[Fraction]:
         * s2.leading_coefficient**3
         / rho_squared.leading_coefficient**3
     )
-    for t in _TRIAL_POINTS:
+    for t in _scan_points(8):
         dv = det.evaluate(t)
         sv = s2.evaluate(t)
         rv = rho_squared.evaluate(t)
@@ -211,20 +210,9 @@ def is_helix(h: Hodograph) -> HelixVerdict:
 
 
 def _integer_cleared(values) -> Tuple[Fraction, ...]:
-    den_lcm = 1
-    for v in values:
-        den_lcm = den_lcm * v.denominator // int_gcd(den_lcm, v.denominator)
-    ints = [v * den_lcm for v in values]
-    num_gcd = 0
-    for v in ints:
-        num_gcd = int_gcd(num_gcd, v.numerator)
-    cleared = [v / num_gcd for v in ints]
-    for v in cleared:
-        if v:
-            if v < 0:
-                cleared = [-x for x in cleared]
-            break
-    return tuple(cleared)
+    """The coprime integer direction of values whose first nonzero entry is positive."""
+    _, ints = primitive_split(values[::-1])
+    return tuple(Fraction(v) for v in reversed(ints))
 
 
 def _proportionality(num: RatPoly, den: RatPoly) -> Optional[Fraction]:
@@ -256,10 +244,8 @@ def _verify_axis(axis, inv: Invariants) -> Optional[Fraction]:
     return slope if residual.is_zero else None
 
 
-def _darboux(det, s2, r2, v, c) -> Vec3:
-    """det * s2 * v + r2 * c, on the invariant polynomials or on their values."""
-    det_s2 = det * s2
-    return tuple(det_s2 * vi + r2 * ci for vi, ci in zip(v, c))
+def _degree_bound(vec) -> int:
+    return max((p.degree for p in vec if not p.is_zero), default=0)
 
 
 def _extract_axis(
@@ -271,60 +257,39 @@ def _extract_axis(
     For a proper helix it is the Darboux direction tau*t + kappa*b, scaled by
     sigma^3 * rho^2 so that the vector reads det * sigma^2 * alpha' +
     rho^2 * (alpha' ^ alpha'') — a rational polynomial vector that is a scalar
-    polynomial times the constant direction.  Evaluating that vector at any
-    parameter where it does not vanish therefore already yields the axis,
-    assembled from the values of its factors.  The verified identities make
-    the shortcut exact, and a gcd-based extraction on the expanded vector
-    remains as fallback for evaluation points that all hit roots.
+    polynomial times the constant direction.  Its value at any parameter where
+    it does not vanish is therefore the axis, assembled from the values of its
+    factors, and the verified identities make that exact.  The vector has
+    degree at most deg, so unless it vanishes identically it is nonzero at one
+    of any deg + 1 distinct points.
     """
     v, c = inv.v, inv.cross
-    for t in _TRIAL_POINTS:
+    det, s2, r2 = inv.det, inv.sigma_squared, inv.rho_squared
+    deg = _degree_bound(c)
+    if not planar:
+        deg = max(det.degree + s2.degree + _degree_bound(v), r2.degree + deg)
+    for t in _scan_points(deg + 1):
         values = tuple(p.evaluate(t) for p in c)
         if not planar:
-            scalars = (p.evaluate(t) for p in (inv.det, inv.sigma_squared, inv.rho_squared))
-            values = _darboux(*scalars, tuple(p.evaluate(t) for p in v), values)
-        if not any(values):
-            continue
-        axis = _integer_cleared(values)
-        slope = _verify_axis(axis, inv)
-        if slope is not None:
+            det_s2 = det.evaluate(t) * s2.evaluate(t)
+            r2_t = r2.evaluate(t)
+            values = tuple(det_s2 * p.evaluate(t) + r2_t * ci for p, ci in zip(v, values))
+        if any(values):
+            axis = _integer_cleared(values)
+            slope = _verify_axis(axis, inv)
+            if slope is None:
+                raise InternalInconsistencyError("axis identities failed")
             return axis, slope
-        break
-
-    # fallback: divide out the scalar polynomial explicitly
-    candidate = c if planar else _darboux(inv.det, inv.sigma_squared, inv.rho_squared, v, c)
-    nonzero = [p for p in candidate if not p.is_zero]
-    if not nonzero:
-        raise InternalInconsistencyError("axis candidate vector vanished identically")
-    g = nonzero[0]
-    for p in nonzero[1:]:
-        g = poly_gcd(g, p)
-    parts = []
-    for p in candidate:
-        if p.is_zero:
-            parts.append(Fraction(0))
-            continue
-        q = p.exact_div(g)
-        if not q.is_constant():
-            raise InternalInconsistencyError(
-                "axis direction is not constant for a constant-ratio verdict"
-            )
-        parts.append(q.coefficient(0))
-    axis = _integer_cleared(parts)
-    slope = _verify_axis(axis, inv)
-    if slope is None:
-        raise InternalInconsistencyError("axis identities failed")
-    return axis, slope
+    raise InternalInconsistencyError("axis candidate vector vanished identically")
 
 
-def frenet_frame(h: Hodograph) -> FrenetFrame:
-    """Exact Frenet frame for a 2-PH hodograph.
+def frenet_frame(inv: Invariants) -> FrenetFrame:
+    """Exact Frenet frame for a 2-PH hodograph, from its invariants.
 
     Requires the speed's square-root scale to be a perfect rational square so
     the tangent can be written with rational entries; quaternion-generated
     curves always satisfy this (their speed is itself a rational polynomial).
     """
-    inv = invariants(h)
     sigma, rho = norms(inv)
     if sigma is None or rho is None:
         raise NotRationalFrameError(
@@ -354,6 +319,7 @@ class CurveAnalysis(NamedTuple):
     torsion_numerator: RatPoly
     lancret_ratio_squared: Optional[RationalFunction]
     verdict: HelixVerdict
+    invariants: Invariants
 
     @property
     def is_ph(self) -> bool:
@@ -375,4 +341,5 @@ def analyze(h: Hodograph) -> CurveAnalysis:
         torsion_numerator=inv.det,
         lancret_ratio_squared=None if inv.rho_squared.is_zero else _lancret_ratio(inv),
         verdict=helix_verdict(inv),
+        invariants=inv,
     )

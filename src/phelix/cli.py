@@ -122,7 +122,7 @@ def _cmd_analyze(ns) -> int:
     code = _emit_report(report, ns.format)
     if ns.format == "text" and report.analysis.is_2ph:
         try:
-            frame = frenet_frame(spec.hodograph())
+            frame = frenet_frame(report.analysis.invariants)
         except (LineDegeneracyError, NotRationalFrameError) as exc:
             print(f"frenet frame: unavailable ({exc})")
         else:
@@ -191,6 +191,9 @@ def _cmd_verify(ns) -> int:
 def _cmd_generate(ns) -> int:
     if ns.count < 1:
         print("error: --count must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
+    if ns.height < 1:
+        print("error: --height must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     rng = random.Random(ns.seed)
     curves = []

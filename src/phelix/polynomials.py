@@ -368,6 +368,29 @@ def _convolve(a: List[int], b: List[int]) -> List[int]:
     return out
 
 
+def _cleared(values) -> Tuple[int, List[int]]:
+    """(den, ints) with values = ints / den and den the lcm of the denominators."""
+    den = 1
+    for v in values:
+        den = den * v.denominator // math.gcd(den, v.denominator)
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def primitive_split(values) -> Tuple[Fraction, List[int]]:
+    """(content, ints) with values = content * ints.
+
+    The ints are coprime and the last nonzero one is positive, so the
+    content carries that entry's sign.  All-zero input gives (0, zeros).
+    """
+    den, ints = _cleared(values)
+    g = math.gcd(*ints)
+    if not g:
+        return Fraction(0), ints
+    if next(v for v in reversed(ints) if v) < 0:
+        g = -g
+    return Fraction(g, den), [v // g for v in ints]
+
+
 class RatPoly(_Polynomial):
     """Univariate polynomial with exact rational coefficients."""
 
@@ -383,14 +406,6 @@ class RatPoly(_Polynomial):
     def _field_one(cls):
         return Fraction(1)
 
-    def _integer_form(self) -> Tuple[Fraction, List[int]]:
-        """(scale, ints) with self = scale * ints; clears all denominators."""
-        den_lcm = 1
-        for c in self.coeffs:
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        ints = [c.numerator * (den_lcm // c.denominator) for c in self.coeffs]
-        return Fraction(1, den_lcm), ints
-
     def __mul__(self, other):
         # integer convolution with one normalization per output coefficient;
         # much faster than Fraction products term by term
@@ -399,12 +414,10 @@ class RatPoly(_Polynomial):
             return NotImplemented
         if self.is_zero or other.is_zero:
             return RatPoly()
-        s1, a = self._integer_form()
-        s2, b = other._integer_form()
-        scale = s1 * s2
-        return RatPoly(
-            [Fraction(v * scale.numerator, scale.denominator) for v in _convolve(a, b)]
-        )
+        d1, a = _cleared(self.coeffs)
+        d2, b = _cleared(other.coeffs)
+        den = d1 * d2
+        return RatPoly([Fraction(v, den) for v in _convolve(a, b)])
 
     def evaluate(self, point):
         # p(a/b) = sum c_k a^k b^(n-k) / b^n on the integer form: integer
@@ -412,39 +425,18 @@ class RatPoly(_Polynomial):
         point = as_fraction(point)
         if self.is_zero:
             return Fraction(0)
-        scale, ints = self._integer_form()
+        den, ints = _cleared(self.coeffs)
         a, b = point.numerator, point.denominator
         acc, power = ints[-1], 1
         for c in reversed(ints[:-1]):
             power *= b
             acc = acc * a + c * power
-        return Fraction(acc * scale.numerator, scale.denominator * power)
-
-    def rational_content(self) -> Fraction:
-        """Signed content c with self = c * primitive.
-
-        The primitive part has integer coefficients with gcd 1 and a positive
-        leading coefficient; the content therefore carries the leading sign.
-        Returns 0 for the zero polynomial.
-        """
-        if self.is_zero:
-            return Fraction(0)
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.coeffs:
-            num_gcd = math.gcd(num_gcd, c.numerator)
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        content = Fraction(num_gcd, den_lcm)
-        if self.coeffs[-1] < 0:
-            content = -content
-        return content
+        return Fraction(acc, den * power)
 
     def primitive_positive(self) -> Tuple[Fraction, "RatPoly"]:
         """Split into (content, primitive part with positive leading coefficient)."""
-        if self.is_zero:
-            return Fraction(0), self
-        content = self.rational_content()
-        return content, type(self)([c / content for c in self.coeffs])
+        content, ints = primitive_split(self.coeffs)
+        return content, type(self)(ints)
 
     def __str__(self) -> str:
         return format_rat_poly(self)
@@ -631,10 +623,9 @@ def perfect_square_root(p: RatPoly) -> Optional[ScaledSqrt]:
         return ScaledSqrt.zero()
     if p.degree % 2:
         return None
-    content, primitive = p.primitive_positive()
+    content, target = primitive_split(p.coeffs)
     if content <= 0:
         return None
-    target = [c.numerator for c in primitive.coeffs]
     n = p.degree // 2
     lead = math.isqrt(target[-1])
     if lead * lead != target[-1]:
@@ -795,53 +786,47 @@ def _power_str(k: int, var: str) -> str:
     return f"{var}^{k}"
 
 
-def format_rat_poly(p: RatPoly, var: str = "t") -> str:
-    if p.is_zero:
-        return "0"
+def _real_term(c: Fraction, power: str) -> Tuple[bool, str]:
+    """(negative, body) of the term c * power for a nonzero rational c."""
+    mag = abs(c)
+    if not power:
+        body = str(mag)
+    elif mag == 1:
+        body = power
+    elif mag.denominator == 1:
+        body = f"{mag}{power}"
+    else:
+        body = f"({mag}){power}"
+    return c < 0, body
+
+
+def _gauss_term(c: GaussianRational, power: str) -> Tuple[bool, str]:
+    """(negative, body) of the term c * power for a nonzero Gaussian rational c."""
+    if c.is_real:
+        return _real_term(c.re, power)
+    if not c.re:
+        return c.im < 0, f"{_format_imaginary(abs(c.im))}{power}"
+    return False, f"({c!s}){power}"
+
+
+def _join_terms(p, term, var: str) -> str:
+    """The nonzero terms of p, highest power first, with explicit signs."""
     parts: List[str] = []
     for k in range(len(p.coeffs) - 1, -1, -1):
         c = p.coeffs[k]
         if not c:
             continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        power = _power_str(k, var)
-        if not power:
-            body = str(mag)
-        elif mag == 1:
-            body = power
-        elif mag.denominator == 1:
-            body = f"{mag}{power}"
-        else:
-            body = f"({mag}){power}"
+        negative, body = term(c, _power_str(k, var))
         if not parts:
-            parts.append(body if sign == "+" else f"-{body}")
+            parts.append(f"-{body}" if negative else body)
         else:
-            parts.append(f" {sign} {body}")
-    return "".join(parts)
+            parts.append(f" - {body}" if negative else f" + {body}")
+    return "".join(parts) or "0"
+
+
+def format_rat_poly(p: RatPoly, var: str = "t") -> str:
+    return _join_terms(p, _real_term, var)
 
 
 def format_gauss_poly(p: GaussPoly, var: str = "t") -> str:
-    if p.is_zero:
-        return "0"
-    parts: List[str] = []
-    for k in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[k]
-        if not c:
-            continue
-        power = _power_str(k, var)
-        if c.is_real:
-            piece = format_rat_poly(RatPoly([Fraction(0)] * k + [c.re]), var)
-            rendered, negative = (piece[1:], True) if piece.startswith("-") else (piece, False)
-        elif not c.re:
-            mag = _format_imaginary(abs(c.im))
-            rendered = f"{mag}{power}" if power else mag
-            negative = c.im < 0
-        else:
-            rendered = f"({c!s}){power}" if power else f"({c!s})"
-            negative = False
-        if not parts:
-            parts.append(f"-{rendered}" if negative else rendered)
-        else:
-            parts.append(f" - {rendered}" if negative else f" + {rendered}")
-    return "".join(parts)
+    return _join_terms(p, _gauss_term, var)

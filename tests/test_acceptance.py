@@ -26,6 +26,7 @@ from phelix import (
     hodograph_from_hopf,
     hodograph_from_quaternion,
     hopf_from_quaternion,
+    invariants,
     is_2ph,
     is_helix,
     lancret_ratio_squared,
@@ -208,7 +209,7 @@ def test_criterion_08_frenet_exactness():
     dot = lambda x, y: x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
     for h in fixtures:
         assert is_2ph(h) is not None
-        frame = frenet_frame(h)
+        frame = frenet_frame(invariants(h))
         t, b, n = frame.tangent, frame.binormal, frame.normal
         assert dot(t, t) == one
         assert dot(t, b).is_zero

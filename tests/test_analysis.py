@@ -9,6 +9,8 @@ from conftest import compose_affine, quaternion_quadratics, rand_rat_poly, seede
 from phelix import (
     HelixKind,
     Hodograph,
+    InternalInconsistencyError,
+    Invariants,
     LineDegeneracyError,
     NotRationalFrameError,
     RatPoly,
@@ -24,10 +26,8 @@ from phelix import (
     is_helix,
     is_ph,
     lancret_ratio_squared,
-    poly_gcd,
     sigma_poly,
 )
-from phelix import analysis
 from phelix.quintic import generate_general_quintic, generate_monotone_quintic
 from phelix.curves import hodograph_from_hopf
 from phelix.references import reference_curve
@@ -97,7 +97,7 @@ class TestPhTests:
 
 class TestFrenetFrame:
     def test_planar_cubic_frame(self):
-        frame = frenet_frame(planar_cubic())
+        frame = frenet_frame(invariants(planar_cubic()))
         one_plus_t2 = RatPoly([1, 0, 1])
         assert frame.tangent[0] == RationalFunction(RatPoly([0, 2]), one_plus_t2)
         assert frame.tangent[1] == RationalFunction(RatPoly([1, 0, -1]), one_plus_t2)
@@ -107,7 +107,7 @@ class TestFrenetFrame:
         assert frame.binormal[2] in [RationalFunction.constant(c) for c in (2, -2)]
 
     def test_degree7_frame_at_zero(self):
-        frame = frenet_frame(degree7_hodograph())
+        frame = frenet_frame(invariants(degree7_hodograph()))
         tangent0 = tuple(f.evaluate(0) for f in frame.tangent)
         assert tangent0 == (-1, 0, 0)
         scale_root = 2  # frame_scale is 4
@@ -116,7 +116,7 @@ class TestFrenetFrame:
         assert binormal0 == (0, 0, -1)
 
     def _assert_exact_identities(self, h):
-        frame = frenet_frame(h)
+        frame = frenet_frame(invariants(h))
         t, b, n = frame.tangent, frame.binormal, frame.normal
         dot = lambda u, v: u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
         one = RationalFunction(RatPoly([1]), RatPoly([1]))
@@ -143,11 +143,11 @@ class TestFrenetFrame:
 
     def test_non_2ph_input_rejected(self):
         with pytest.raises(NotRationalFrameError):
-            frenet_frame(Hodograph(RatPoly([1]), RatPoly([0, 1]), RatPoly()))
+            frenet_frame(invariants(Hodograph(RatPoly([1]), RatPoly([0, 1]), RatPoly())))
 
     def test_line_rejected(self):
         with pytest.raises(LineDegeneracyError):
-            frenet_frame(Hodograph(RatPoly([1]), RatPoly(), RatPoly()))
+            frenet_frame(invariants(Hodograph(RatPoly([1]), RatPoly(), RatPoly())))
 
     def test_irrational_speed_scale_rejected(self):
         # (1 - 4t - t^2)^2 + (2 + 2t - 2t^2)^2 = 5 (1 + t^2)^2: a planar 2-PH
@@ -157,7 +157,7 @@ class TestFrenetFrame:
         assert invariants(h).sigma_squared == 5 * RatPoly([1, 0, 1]) ** 2
         assert is_2ph(h) is not None
         with pytest.raises(NotRationalFrameError):
-            frenet_frame(h)
+            frenet_frame(invariants(h))
 
 
 class TestCurvatureTorsion:
@@ -251,7 +251,7 @@ class TestHelixAxis:
         assert (proj_b * proj_b - (1 - slope) * norm2 * r2).is_zero
 
     @pytest.mark.parametrize("family", ["monotone", "general", "planar"])
-    def test_gcd_fallback_matches_trial_points(self, monkeypatch, family):
+    def test_axis_scan_passes_the_roots_of_a_common_factor(self, family):
         rng = seeded(29)
         if family == "monotone":
             h = hodograph_from_hopf(generate_monotone_quintic(rng, height=6))
@@ -263,20 +263,23 @@ class TestHelixAxis:
             h = Hodograph(x, y, x + y)
         expected = helix_verdict(invariants(h))
         assert expected.kind == (HelixKind.PLANAR if family == "planar" else HelixKind.HELIX)
-        gcd_calls = []
+        # f vanishes at the first 8 scan points 0, 1, -1, 2, -2, 3, -3, 4; the
+        # hodograph f * h scales the axis candidate by f^6 and keeps kind,
+        # slope and axis, so its axis comes from a later point
+        f = RatPoly([1])
+        for root in (0, 1, -1, 2, -2, 3, -3, 4):
+            f = f * RatPoly([-root, 1])
+        scaled = Hodograph(*(f * p for p in h.vector()))
+        assert helix_verdict(invariants(scaled)) == expected
 
-        def counting_gcd(a, b):
-            gcd_calls.append(1)
-            return poly_gcd(a, b)
-
-        # with no trial point the axis can only come from the gcd fallback
-        monkeypatch.setattr(analysis, "_TRIAL_POINTS", ())
-        monkeypatch.setattr(analysis, "poly_gcd", counting_gcd)
-        fallback = helix_verdict(invariants(h))
-        assert gcd_calls
-        assert fallback.kind == expected.kind
-        assert fallback.slope_squared == expected.slope_squared
-        assert fallback.axis == expected.axis
+    def test_vanishing_candidate_raises(self):
+        # inconsistent on purpose: rho^2 is nonzero, the cross vector is zero
+        zero = RatPoly()
+        inv = Invariants(
+            (RatPoly([1]), zero, zero), RatPoly([1]), (zero, zero, zero), RatPoly([1]), zero
+        )
+        with pytest.raises(InternalInconsistencyError, match="vanished identically"):
+            helix_verdict(inv)
 
     def test_verdict_mismatch(self):
         # a non-helix verdict carries neither an axis nor a slope

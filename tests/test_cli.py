@@ -363,6 +363,11 @@ class TestGenerate:
     def test_zero_count(self, capsys):
         assert main(["generate", "--family", "monotone", "--count", "0"]) == 1
 
+    @pytest.mark.parametrize("height", ["0", "-1"])
+    def test_height_below_one(self, height, capsys):
+        assert main(["generate", "--family", "general", "--height", height]) == 1
+        assert "--height must be at least 1" in capsys.readouterr().err
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):

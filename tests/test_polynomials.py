@@ -1,5 +1,6 @@
 """Exact algebra kernel: arithmetic, gcd, square-free, perfect squares, Wronskian."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,8 @@ from phelix import (
     squarefree_decompose,
     wronskian,
 )
+from phelix.analysis import _integer_cleared
+from phelix.polynomials import primitive_split
 
 
 def G(re, im=0):
@@ -255,6 +258,38 @@ class TestPerfectSquare:
     def test_adjoined_odd_root_kills_squareness(self, q, r):
         p = q * q * RatPoly([-r, 1])
         assert perfect_square_root(p) is None
+
+
+class TestPrimitiveSplit:
+    @given(st.lists(rationals, max_size=6))
+    def test_content_times_ints(self, values):
+        content, ints = primitive_split(values)
+        assert all(isinstance(v, int) for v in ints)
+        assert [content * v for v in ints] == values
+        if not any(values):
+            assert content == 0 and ints == [0] * len(values)
+        else:
+            assert math.gcd(*ints) == 1
+            assert next(v for v in reversed(ints) if v) > 0
+
+    def test_examples(self):
+        assert primitive_split([Fraction(1, 2), Fraction(-3, 4)]) == (Fraction(-1, 4), [-2, 3])
+        assert primitive_split([Fraction(0), Fraction(0)]) == (0, [0, 0])
+        assert primitive_split([]) == (0, [])
+
+    @given(st.lists(rationals, min_size=1, max_size=4).filter(any), st.integers(0, 3))
+    def test_integer_cleared_first_nonzero_positive(self, values, zeros):
+        values = (Fraction(0),) * zeros + tuple(values)
+        cleared = _integer_cleared(values)
+        assert all(v.denominator == 1 for v in cleared)
+        assert math.gcd(*(v.numerator for v in cleared)) == 1
+        assert next(v for v in cleared if v) > 0
+        # a rational multiple of the input
+        ratio = next(c / v for c, v in zip(cleared, values) if v)
+        assert tuple(ratio * v for v in values) == cleared
+
+    def test_integer_cleared_leading_zeros(self):
+        assert _integer_cleared((Fraction(0), Fraction(-2), Fraction(4))) == (0, 1, -2)
 
 
 class TestScaledSqrt:
