@@ -283,14 +283,14 @@ def _extract_axis(
     raise InternalInconsistencyError("axis candidate vector vanished identically")
 
 
-def frenet_frame(inv: Invariants) -> FrenetFrame:
-    """Exact Frenet frame for a 2-PH hodograph, from its invariants.
+def frenet_frame(analysis: CurveAnalysis) -> FrenetFrame:
+    """Exact Frenet frame for a 2-PH hodograph, from its analysis.
 
     Requires the speed's square-root scale to be a perfect rational square so
     the tangent can be written with rational entries; quaternion-generated
     curves always satisfy this (their speed is itself a rational polynomial).
     """
-    sigma, rho = norms(inv)
+    sigma, rho = analysis.sigma, analysis.rho
     if sigma is None or rho is None:
         raise NotRationalFrameError(
             "Frenet frame entries are rational only for 2-PH curves"
@@ -304,6 +304,7 @@ def frenet_frame(inv: Invariants) -> FrenetFrame:
             "would not be rational"
         )
     speed = sigma_root * sigma.body
+    inv = analysis.invariants
     tangent = tuple(RationalFunction(p, speed) for p in inv.v)
     binormal = tuple(RationalFunction(p, rho.body) for p in inv.cross)
     normal = _cross(binormal, tangent)
@@ -313,13 +314,10 @@ def frenet_frame(inv: Invariants) -> FrenetFrame:
 class CurveAnalysis(NamedTuple):
     """Everything the analyze pipeline computes for one hodograph."""
 
-    sigma_squared: RatPoly
-    sigma: Optional[ScaledSqrt]
-    cross: CrossNorm
-    torsion_numerator: RatPoly
-    lancret_ratio_squared: Optional[RationalFunction]
-    verdict: HelixVerdict
     invariants: Invariants
+    sigma: Optional[ScaledSqrt]
+    rho: Optional[ScaledSqrt]
+    verdict: HelixVerdict
 
     @property
     def is_ph(self) -> bool:
@@ -327,19 +325,18 @@ class CurveAnalysis(NamedTuple):
 
     @property
     def is_2ph(self) -> bool:
-        return self.sigma is not None and self.cross.rho is not None
+        return self.sigma is not None and self.rho is not None
+
+    @property
+    def lancret_ratio_squared(self) -> Optional[RationalFunction]:
+        """(tau/kappa)^2 reduced, or None along a straight line; computed on
+        each read, since the reduction dominates a non-helix analysis."""
+        inv = self.invariants
+        return None if inv.rho_squared.is_zero else _lancret_ratio(inv)
 
 
 def analyze(h: Hodograph) -> CurveAnalysis:
     """Run every analysis that is defined for the input and bundle the results."""
     inv = invariants(h)
     sigma, rho = norms(inv)
-    return CurveAnalysis(
-        sigma_squared=inv.sigma_squared,
-        sigma=sigma,
-        cross=CrossNorm(inv.rho_squared, rho),
-        torsion_numerator=inv.det,
-        lancret_ratio_squared=None if inv.rho_squared.is_zero else _lancret_ratio(inv),
-        verdict=helix_verdict(inv),
-        invariants=inv,
-    )
+    return CurveAnalysis(inv, sigma, rho, helix_verdict(inv))

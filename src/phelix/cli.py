@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__
-from .analysis import analyze, frenet_frame
+from .analysis import frenet_frame
 from .curves import quaternion_from_hopf
 from .curvespec import CurveSpec, dump_spec, load_spec, parse_rational, spec_to_doc
 from .errors import (
@@ -40,7 +40,7 @@ from .quintic import (
     generate_general_quintic,
     generate_monotone_quintic,
 )
-from .report import ReportDocument
+from .report import ReportDocument, analyze_spec
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,6 +57,10 @@ REFERENCE_NAMES = ("example1", "example2", "counterexample")
 MAX_SAMPLES = 10_000
 MAX_PRECISION = 100
 
+# Upper bound on ``generate --count``.  Every curve is kept until the output
+# is printed, at about 13 ms a curve, so a run stays near two minutes.
+MAX_COUNT = 10_000
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse maps usage errors to exit 2 by default; this tool reserves 2
@@ -69,14 +73,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_spec(path: str) -> CurveSpec:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(path) as f:
+    """Load a spec from a file or stdin, decoded as UTF-8 (JSON's encoding)."""
+    try:
+        if path == "-":
+            # a stdin replaced by an already decoded text stream has no buffer
+            raw = getattr(sys.stdin, "buffer", None)
+            text = sys.stdin.read() if raw is None else raw.read().decode("utf-8")
+        else:
+            with open(path, encoding="utf-8") as f:
                 text = f.read()
-        except OSError as exc:
-            raise SpecParseError(f"cannot read {path}: {exc}") from exc
+    except OSError as exc:
+        raise SpecParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecParseError(f"spec {path!r} is not UTF-8 text: {exc}") from exc
     return load_spec(text)
 
 
@@ -87,17 +96,11 @@ def _format_decimal(value: Fraction, digits: int) -> str:
 
 
 def _build_report(spec: CurveSpec, seed: Optional[int] = None) -> ReportDocument:
-    quat = spec.quaternion_form()
-    hopf = spec.hopf_form()
-    classification = None
-    if quat is not None:
-        classification = classify_quintic(quat)
-    elif hopf is not None and hopf.degree <= 2:
-        classification = classify_quintic(hopf)
+    analysis, classification = analyze_spec(spec)
     return ReportDocument(
         version=__version__,
         input_doc=spec_to_doc(spec),
-        analysis=analyze(spec.hodograph()),
+        analysis=analysis,
         classification=classification,
         seed=seed,
     )
@@ -122,7 +125,7 @@ def _cmd_analyze(ns) -> int:
     code = _emit_report(report, ns.format)
     if ns.format == "text" and report.analysis.is_2ph:
         try:
-            frame = frenet_frame(report.analysis.invariants)
+            frame = frenet_frame(report.analysis)
         except (LineDegeneracyError, NotRationalFrameError) as exc:
             print(f"frenet frame: unavailable ({exc})")
         else:
@@ -189,8 +192,8 @@ def _cmd_verify(ns) -> int:
 
 
 def _cmd_generate(ns) -> int:
-    if ns.count < 1:
-        print("error: --count must be at least 1", file=sys.stderr)
+    if not 1 <= ns.count <= MAX_COUNT:
+        print(f"error: --count must be between 1 and {MAX_COUNT}", file=sys.stderr)
         return EXIT_USAGE
     if ns.height < 1:
         print("error: --height must be at least 1", file=sys.stderr)
@@ -219,7 +222,7 @@ def _cmd_generate(ns) -> int:
                 {
                     "spec": spec_to_doc(spec),
                     "classification": report.quintic_class.kind,
-                    "lancret": report.lancret.kind,
+                    "lancret": report.analysis.verdict.kind,
                 }
                 for spec, report in curves
             ],
@@ -230,7 +233,7 @@ def _cmd_generate(ns) -> int:
         for index, (spec, report) in enumerate(curves):
             print(
                 f"[{index}] {report.quintic_class.kind} "
-                f"(lancret: {report.lancret.kind}) {dump_spec(spec)}"
+                f"(lancret: {report.analysis.verdict.kind}) {dump_spec(spec)}"
             )
         counts = ", ".join(f"{kind}: {n}" for kind, n in sorted(summary.items()))
         print(f"summary: {counts}")
@@ -297,7 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_generate.add_argument(
         "--family", choices=("monotone", "general"), required=True
     )
-    p_generate.add_argument("--count", type=int, default=10)
+    p_generate.add_argument(
+        "--count", type=int, default=10, help=f"number of curves (1 to {MAX_COUNT})"
+    )
     p_generate.add_argument("--seed", type=int, default=0)
     p_generate.add_argument(
         "--height", type=int, default=8, help="bound on sampled numerators/denominators"

@@ -24,7 +24,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple, Union
 
-from .analysis import HelixKind, HelixVerdict, helix_verdict, invariants, is_helix, norms
+from .analysis import CurveAnalysis, HelixKind, analyze, is_helix
 from .curves import (
     HopfPair,
     Quaternion,
@@ -42,7 +42,6 @@ from .polynomials import (
     GaussPoly,
     GaussianRational,
     RatPoly,
-    ScaledSqrt,
     poly_gcd,
     wronskian,
 )
@@ -120,18 +119,17 @@ class ConstantZParameters(NamedTuple):
 
 
 class ClassificationReport(NamedTuple):
-    """Full two-route verdict for one quintic (or lower-degree) curve."""
+    """Full two-route verdict for one quintic (or lower-degree) curve; analysis
+    is the slope route's, the other fields are the Wronskian route's."""
 
-    ph: Optional[ScaledSqrt]
-    two_ph: Optional[Tuple[ScaledSqrt, ScaledSqrt]]
+    analysis: CurveAnalysis
     wronskian: GaussPoly
     decomposition: Optional[WronskianDecomposition]
     quintic_class: QuinticClass
-    lancret: HelixVerdict
 
     @property
     def is_helix(self) -> bool:
-        return self.lancret.kind in (HelixKind.HELIX, HelixKind.PLANAR)
+        return self.analysis.verdict.kind in (HelixKind.HELIX, HelixKind.PLANAR)
 
 
 def _check_degrees(pair: HopfPair) -> None:
@@ -319,45 +317,33 @@ def classify_quintic(curve: CurveInput) -> ClassificationReport:
     _check_degrees(pair)
 
     w = wronskian(pair.z1, pair.z2)
-    inv = invariants(hodograph_from_hopf(pair))
-    ph, rho = norms(inv)
-    two_ph = None if ph is None or rho is None else (ph, rho)
-    lancret = helix_verdict(inv)
+    analysis = analyze(hodograph_from_hopf(pair))
 
     if w.is_zero:
         return ClassificationReport(
-            ph=ph,
-            two_ph=two_ph,
+            analysis=analysis,
             wronskian=w,
             decomposition=None,
             quintic_class=QuinticClass(
                 QuinticKind.DEGENERATE,
                 reason="proportional Hopf pair: the tangent direction is constant",
             ),
-            lancret=lancret,
         )
 
     decomposition = decompose_wronskian_quintic(pair)
     quintic_class = _route_case(decomposition, pair, quat)
 
+    report = ClassificationReport(analysis, w, decomposition, quintic_class)
     decomposable = decomposition.exists
-    if decomposable != (two_ph is not None):
+    if decomposable != analysis.is_2ph:
         raise InternalInconsistencyError(
             "Wronskian decomposability disagrees with the polynomial-norm test"
         )
-    if decomposable != (lancret.kind in (HelixKind.HELIX, HelixKind.PLANAR)):
+    if decomposable != report.is_helix:
         raise InternalInconsistencyError(
             "algebraic classification disagrees with the constant-slope test"
         )
-
-    return ClassificationReport(
-        ph=ph,
-        two_ph=two_ph,
-        wronskian=w,
-        decomposition=decomposition,
-        quintic_class=quintic_class,
-        lancret=lancret,
-    )
+    return report
 
 
 def _route_case(

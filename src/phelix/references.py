@@ -19,9 +19,10 @@ number makes the corresponding check fail.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, List, NamedTuple, Optional
+from functools import cached_property
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .analysis import CurveAnalysis, HelixKind, analyze
+from .analysis import CurveAnalysis, HelixKind
 from .curvespec import CurveSpec, parse_spec
 from .polynomials import (
     GaussPoly,
@@ -30,12 +31,8 @@ from .polynomials import (
     RationalFunction,
     ScaledSqrt,
 )
-from .quintic import (
-    ClassificationReport,
-    ConstantZParameters,
-    classify_quintic,
-    constant_z_parameters,
-)
+from .quintic import ClassificationReport, ConstantZParameters, constant_z_parameters
+from .report import analyze_spec
 
 
 class ReferenceCurve(NamedTuple):
@@ -175,27 +172,22 @@ class _Pipeline:
 
     def __init__(self, spec: CurveSpec):
         self.spec = spec
-        self._analysis: Optional[CurveAnalysis] = None
-        self._report: Optional[ClassificationReport] = None
-        self._params: Optional[ConstantZParameters] = None
+
+    @cached_property
+    def _results(self) -> Tuple[CurveAnalysis, Optional[ClassificationReport]]:
+        return analyze_spec(self.spec)
 
     @property
     def analysis(self) -> CurveAnalysis:
-        if self._analysis is None:
-            self._analysis = analyze(self.spec.hodograph())
-        return self._analysis
+        return self._results[0]
 
     @property
-    def report(self) -> ClassificationReport:
-        if self._report is None:
-            self._report = classify_quintic(self.spec.quaternion_form())
-        return self._report
+    def report(self) -> Optional[ClassificationReport]:
+        return self._results[1]
 
-    @property
+    @cached_property
     def z_params(self) -> ConstantZParameters:
-        if self._params is None:
-            self._params = constant_z_parameters(self.spec.quaternion_form())
-        return self._params
+        return constant_z_parameters(self.spec.quaternion_form())
 
 
 _EXTRACTORS: Dict[str, Callable[[_Pipeline], object]] = {
@@ -227,7 +219,7 @@ _EXTRACTORS: Dict[str, Callable[[_Pipeline], object]] = {
     "slope_squared": lambda p: p.analysis.verdict.slope_squared,
     "axis": lambda p: p.analysis.verdict.axis,
     "sigma": lambda p: p.analysis.sigma,
-    "rho": lambda p: p.analysis.cross.rho,
+    "rho": lambda p: p.analysis.rho,
     "sigma_value_at_0": lambda p: (
         None
         if p.analysis.sigma is None or p.analysis.sigma.as_rat_poly() is None

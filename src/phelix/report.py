@@ -7,12 +7,12 @@ human-readable rendering for convenience.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
-from .analysis import CurveAnalysis, HelixKind, HelixVerdict
-from .curvespec import encode_gauss_poly, encode_rat_poly, encode_rationals
+from .analysis import CurveAnalysis, HelixKind, HelixVerdict, analyze
+from .curvespec import CurveSpec, encode_gauss_poly, encode_rat_poly, encode_rationals
 from .polynomials import GaussPoly, RatPoly, RationalFunction, ScaledSqrt
-from .quintic import ClassificationReport
+from .quintic import QUINTIC_MAX_DEGREE, ClassificationReport, classify_quintic
 
 TOOL_NAME = "phelix"
 
@@ -49,6 +49,18 @@ def _verdict_doc(v: HelixVerdict) -> dict:
     }
 
 
+def analyze_spec(spec: CurveSpec) -> Tuple[CurveAnalysis, Optional[ClassificationReport]]:
+    """The analysis of a spec's curve and, for quintic forms (quaternion, or
+    Hopf of degree <= 2), the classification that carries that analysis."""
+    curve = spec.quaternion_form()
+    if curve is None:
+        curve = spec.hopf_form()
+        if curve is None or curve.degree > QUINTIC_MAX_DEGREE:
+            return analyze(spec.hodograph()), None
+    classification = classify_quintic(curve)
+    return classification.analysis, classification
+
+
 class ReportDocument(NamedTuple):
     version: str
     input_doc: dict
@@ -72,13 +84,13 @@ class ReportDocument(NamedTuple):
             "version": self.version,
             "input": self.input_doc,
             "analysis": {
-                "sigma_squared": _rat_poly_doc(a.sigma_squared),
+                "sigma_squared": _rat_poly_doc(a.invariants.sigma_squared),
                 "is_ph": a.is_ph,
                 "sigma": _scaled_sqrt_doc(a.sigma),
-                "rho_squared": _rat_poly_doc(a.cross.rho_squared),
+                "rho_squared": _rat_poly_doc(a.invariants.rho_squared),
                 "is_2ph": a.is_2ph,
-                "rho": _scaled_sqrt_doc(a.cross.rho),
-                "torsion_numerator": _rat_poly_doc(a.torsion_numerator),
+                "rho": _scaled_sqrt_doc(a.rho),
+                "torsion_numerator": _rat_poly_doc(a.invariants.det),
                 "lancret_ratio_squared": _rational_function_doc(
                     a.lancret_ratio_squared
                 ),
@@ -122,18 +134,18 @@ class ReportDocument(NamedTuple):
         lines: List[str] = []
         form = self.input_doc.get("form", "?")
         lines.append(f"input form: {form}")
-        lines.append(f"sigma^2 = {a.sigma_squared}")
+        lines.append(f"sigma^2 = {a.invariants.sigma_squared}")
         lines.append(f"PH: {'yes' if a.is_ph else 'no'}")
         if a.sigma is not None:
             lines.append(f"  sigma = {a.sigma}")
-        lines.append(f"rho^2 = {a.cross.rho_squared}")
+        lines.append(f"rho^2 = {a.invariants.rho_squared}")
         lines.append(f"2-PH: {'yes' if a.is_2ph else 'no'}")
-        if a.cross.rho is not None and not a.cross.rho.is_zero:
-            lines.append(f"  rho = {a.cross.rho}")
+        if a.rho is not None and not a.rho.is_zero:
+            lines.append(f"  rho = {a.rho}")
         if a.verdict.kind == HelixKind.LINE:
             lines.append("curvature vanishes identically: the curve is a straight line")
         else:
-            lines.append(f"torsion numerator det(a',a'',a''') = {a.torsion_numerator}")
+            lines.append(f"torsion numerator det(a',a'',a''') = {a.invariants.det}")
             ratio = a.lancret_ratio_squared
             constant = " (constant)" if ratio is not None and ratio.is_constant else ""
             lines.append(f"(tau/kappa)^2 = {ratio}{constant}")

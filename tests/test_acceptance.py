@@ -18,6 +18,7 @@ from phelix import (
     RatPoly,
     RationalFunction,
     ScaledSqrt,
+    analyze,
     classify_quintic,
     cross_norm,
     frenet_frame,
@@ -26,7 +27,6 @@ from phelix import (
     hodograph_from_hopf,
     hodograph_from_quaternion,
     hopf_from_quaternion,
-    invariants,
     is_2ph,
     is_helix,
     lancret_ratio_squared,
@@ -75,7 +75,7 @@ def test_criterion_02_example1_classification():
     assert report.quintic_class.kind == QuinticKind.MONOTONE_HELIX
     shared = report.quintic_class.shared_factor
     assert shared == GaussPoly([G(-1, -2), G(1)])  # t - (1 + 2i), monic
-    assert report.lancret.kind == HelixKind.HELIX
+    assert report.analysis.verdict.kind == HelixKind.HELIX
     ratio = lancret_ratio_squared(hodograph_from_quaternion(EXAMPLE1))
     assert ratio.is_constant and ratio == RationalFunction.constant(Fraction(9, 50))
     _report(2, "example1 classifies monotone-helix with constant (tau/kappa)^2")
@@ -97,7 +97,7 @@ def test_criterion_03_example2_reproduction():
     assert (dep.c0, dep.c2) == (Fraction(-6, 7), Fraction(-6, 7))
     a0, a1, a2 = (EXAMPLE2.coefficient(k) for k in range(3))
     assert dep.c0 * a0 + dep.c2 * a2 == a1  # zero residual
-    assert report.lancret.kind == HelixKind.HELIX
+    assert report.analysis.verdict.kind == HelixKind.HELIX
     _report(3, "example2 Wronskian, z-constant case, dependence (-6/7, -6/7)")
 
 
@@ -124,15 +124,15 @@ def test_criterion_05_equivalence_property_sweep():
     for _ in range(500):
         pair = generate_monotone_quintic(rng, height=12)
         report = classify_quintic(pair)  # raises on any equivalence violation
-        assert report.two_ph is not None
-        assert report.lancret.kind == HelixKind.HELIX
+        assert report.analysis.is_2ph
+        assert report.analysis.verdict.kind == HelixKind.HELIX
         assert report.quintic_class.kind == QuinticKind.MONOTONE_HELIX
         checked += 1
     for _ in range(500):
         quat = generate_general_quintic(rng, height=12)
         report = classify_quintic(quat)
-        assert report.two_ph is not None
-        assert report.lancret.kind == HelixKind.HELIX
+        assert report.analysis.is_2ph
+        assert report.analysis.verdict.kind == HelixKind.HELIX
         assert report.quintic_class.kind in (
             QuinticKind.GENERAL_HELIX,
             QuinticKind.MONOTONE_HELIX,  # an accidentally shared factor is fine
@@ -150,12 +150,12 @@ def test_criterion_05_equivalence_property_sweep():
         independents += 1
         report = classify_quintic(quat)  # the internal cross-check must hold
         if report.quintic_class.kind == QuinticKind.NOT_HELIX:
-            assert report.two_ph is None
-            assert report.lancret.kind == HelixKind.NOT_HELIX
+            assert not report.analysis.is_2ph
+            assert report.analysis.verdict.kind == HelixKind.NOT_HELIX
         else:
             accidental += 1
-            assert report.two_ph is not None
-            assert report.lancret.kind in (HelixKind.HELIX, HelixKind.PLANAR)
+            assert report.analysis.is_2ph
+            assert report.analysis.verdict.kind in (HelixKind.HELIX, HelixKind.PLANAR)
         checked += 1
     _report(
         5,
@@ -172,7 +172,7 @@ def test_criterion_06_all_ph_cubics_are_helices():
         if a.is_zero or (a.degree or 0) < 1:
             continue
         report = classify_quintic(a)
-        kind = report.lancret.kind
+        kind = report.analysis.verdict.kind
         assert kind != HelixKind.NOT_HELIX
         outcomes[kind] += 1
     assert sum(outcomes.values()) >= 195
@@ -209,7 +209,7 @@ def test_criterion_08_frenet_exactness():
     dot = lambda x, y: x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
     for h in fixtures:
         assert is_2ph(h) is not None
-        frame = frenet_frame(invariants(h))
+        frame = frenet_frame(analyze(h))
         t, b, n = frame.tangent, frame.binormal, frame.normal
         assert dot(t, t) == one
         assert dot(t, b).is_zero

@@ -97,7 +97,7 @@ class TestPhTests:
 
 class TestFrenetFrame:
     def test_planar_cubic_frame(self):
-        frame = frenet_frame(invariants(planar_cubic()))
+        frame = frenet_frame(analyze(planar_cubic()))
         one_plus_t2 = RatPoly([1, 0, 1])
         assert frame.tangent[0] == RationalFunction(RatPoly([0, 2]), one_plus_t2)
         assert frame.tangent[1] == RationalFunction(RatPoly([1, 0, -1]), one_plus_t2)
@@ -107,7 +107,7 @@ class TestFrenetFrame:
         assert frame.binormal[2] in [RationalFunction.constant(c) for c in (2, -2)]
 
     def test_degree7_frame_at_zero(self):
-        frame = frenet_frame(invariants(degree7_hodograph()))
+        frame = frenet_frame(analyze(degree7_hodograph()))
         tangent0 = tuple(f.evaluate(0) for f in frame.tangent)
         assert tangent0 == (-1, 0, 0)
         scale_root = 2  # frame_scale is 4
@@ -116,7 +116,7 @@ class TestFrenetFrame:
         assert binormal0 == (0, 0, -1)
 
     def _assert_exact_identities(self, h):
-        frame = frenet_frame(invariants(h))
+        frame = frenet_frame(analyze(h))
         t, b, n = frame.tangent, frame.binormal, frame.normal
         dot = lambda u, v: u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
         one = RationalFunction(RatPoly([1]), RatPoly([1]))
@@ -143,11 +143,11 @@ class TestFrenetFrame:
 
     def test_non_2ph_input_rejected(self):
         with pytest.raises(NotRationalFrameError):
-            frenet_frame(invariants(Hodograph(RatPoly([1]), RatPoly([0, 1]), RatPoly())))
+            frenet_frame(analyze(Hodograph(RatPoly([1]), RatPoly([0, 1]), RatPoly())))
 
     def test_line_rejected(self):
         with pytest.raises(LineDegeneracyError):
-            frenet_frame(invariants(Hodograph(RatPoly([1]), RatPoly(), RatPoly())))
+            frenet_frame(analyze(Hodograph(RatPoly([1]), RatPoly(), RatPoly())))
 
     def test_irrational_speed_scale_rejected(self):
         # (1 - 4t - t^2)^2 + (2 + 2t - 2t^2)^2 = 5 (1 + t^2)^2: a planar 2-PH
@@ -157,7 +157,7 @@ class TestFrenetFrame:
         assert invariants(h).sigma_squared == 5 * RatPoly([1, 0, 1]) ** 2
         assert is_2ph(h) is not None
         with pytest.raises(NotRationalFrameError):
-            frenet_frame(invariants(h))
+            frenet_frame(analyze(h))
 
 
 class TestCurvatureTorsion:
@@ -171,7 +171,7 @@ class TestCurvatureTorsion:
 
     def test_planar_parabola(self):
         data = analyze(Hodograph(RatPoly([1]), RatPoly([0, 2]), RatPoly()))
-        assert data.torsion_numerator.is_zero
+        assert data.invariants.det.is_zero
         assert data.lancret_ratio_squared.is_zero
         assert data.sigma is None  # 1 + 4t^2 is not a perfect square
 

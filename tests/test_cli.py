@@ -14,7 +14,7 @@ import phelix.quintic as quintic
 import phelix.references as references
 from phelix import InternalInconsistencyError, RatPoly, classify_quintic, perfect_square_root
 from phelix.analysis import HelixKind, HelixVerdict
-from phelix.cli import MAX_PRECISION, MAX_SAMPLES, main
+from phelix.cli import MAX_COUNT, MAX_PRECISION, MAX_SAMPLES, main
 from phelix.references import reference_curve
 from phelix.curvespec import MAX_DEGREE, MAX_EXPONENT, dump_spec, parse_spec
 
@@ -130,6 +130,42 @@ class TestClassify:
         assert main(["classify", str(path)]) == 1
         assert "nested too deeply" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["classify", "sample"])
+    def test_non_utf8_file_exits_cleanly(self, command, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe\x00{")
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "is not UTF-8 text" in captured.err
+
+
+class TestOneAnalysisPerReport:
+    """classify and analyze build the hodograph invariants once and take
+    each of the two square roots once, whatever the format."""
+
+    @pytest.mark.parametrize("command", ["classify", "analyze"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_one_invariants_build(self, command, fmt, tmp_path, capsys, monkeypatch):
+        builds, roots = [], []
+        new, root = analysis.Invariants.__new__, analysis.perfect_square_root
+
+        def counted_new(cls, *args, **kwargs):
+            builds.append(cls)
+            return new(cls, *args, **kwargs)
+
+        def counted_root(p):
+            roots.append(p)
+            return root(p)
+
+        monkeypatch.setattr(analysis.Invariants, "__new__", counted_new)
+        monkeypatch.setattr(analysis, "perfect_square_root", counted_root)
+        path = write_doc(tmp_path, EXAMPLE1_DOC)
+        assert main([command, "--format", fmt, path]) == 0
+        assert "monotone-helix" in capsys.readouterr().out
+        assert len(builds) == 1
+        assert len(roots) == 2
+
 
 # Exit code 3 is reserved for two routes that disagree.  Each fault breaks
 # one consistency check of the quintic classifier or of the constant-slope
@@ -137,7 +173,7 @@ class TestClassify:
 # message of the InternalInconsistencyError it must raise).
 FAULTS = {
     "slope-route": (
-        quintic,
+        analysis,
         "helix_verdict",
         lambda inv: HelixVerdict(HelixKind.NOT_HELIX),
         "algebraic classification disagrees with the constant-slope test",
@@ -149,7 +185,7 @@ FAULTS = {
         "constant-omega decomposition without a shared Hopf factor",
     ),
     "norm-test": (
-        quintic,
+        analysis,
         "norms",
         lambda inv: (perfect_square_root(inv.sigma_squared), None),
         "Wronskian decomposability disagrees with the polynomial-norm test",
@@ -362,6 +398,13 @@ class TestGenerate:
 
     def test_zero_count(self, capsys):
         assert main(["generate", "--family", "monotone", "--count", "0"]) == 1
+
+    def test_count_over_the_limit(self, capsys):
+        argv = ["generate", "--family", "general", "--count", str(MAX_COUNT + 1)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--count must be between 1 and {MAX_COUNT}" in captured.err
 
     @pytest.mark.parametrize("height", ["0", "-1"])
     def test_height_below_one(self, height, capsys):

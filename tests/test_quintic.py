@@ -210,15 +210,15 @@ class TestClassify:
         report = classify_quintic(EXAMPLE1)
         assert report.quintic_class.kind == QuinticKind.MONOTONE_HELIX
         assert report.quintic_class.shared_factor == GaussPoly([G(-1, -2), G(1)])
-        assert report.lancret.kind == HelixKind.HELIX
-        assert report.two_ph is not None
+        assert report.analysis.verdict.kind == HelixKind.HELIX
+        assert report.analysis.is_2ph
 
     def test_example2(self):
         report = classify_quintic(EXAMPLE2)
         assert report.quintic_class.kind == QuinticKind.GENERAL_HELIX
         dep = report.quintic_class.dependence
         assert (dep.c0, dep.c2) == (Fraction(-6, 7), Fraction(-6, 7))
-        assert report.lancret.kind == HelixKind.HELIX
+        assert report.analysis.verdict.kind == HelixKind.HELIX
 
     def test_hopf_input_equivalent(self):
         via_quat = classify_quintic(EXAMPLE1)
@@ -237,8 +237,8 @@ class TestClassify:
             report = classify_quintic(quat)
             if report.quintic_class.kind == QuinticKind.NOT_HELIX:
                 saw_not_helix += 1
-                assert report.two_ph is None
-                assert report.lancret.kind == HelixKind.NOT_HELIX
+                assert not report.analysis.is_2ph
+                assert report.analysis.verdict.kind == HelixKind.NOT_HELIX
         assert saw_not_helix > 25
 
     def test_proportional_pair_reports_degenerate(self):
@@ -246,7 +246,7 @@ class TestClassify:
         pair = HopfPair(z1, GaussPoly([G(3)]) * z1)
         report = classify_quintic(pair)
         assert report.quintic_class.kind == QuinticKind.DEGENERATE
-        assert report.lancret.kind == HelixKind.LINE
+        assert report.analysis.verdict.kind == HelixKind.LINE
         assert report.decomposition is None
 
     def test_constant_z_without_dependence_is_still_a_helix(self):
@@ -264,7 +264,7 @@ class TestClassify:
         report = classify_quintic(quat)
         assert report.quintic_class.kind == QuinticKind.GENERAL_HELIX
         assert report.quintic_class.dependence is None
-        assert report.lancret.kind == HelixKind.HELIX
+        assert report.analysis.verdict.kind == HelixKind.HELIX
         ratio = None
         from phelix import RationalFunction, lancret_ratio_squared
         from phelix.curves import hodograph_from_hopf

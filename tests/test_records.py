@@ -25,7 +25,7 @@ def _records():
     report = classify_quintic(quat)
     return {
         "CrossNorm": cross_norm(h),
-        "FrenetFrame": frenet_frame(invariants(h)),
+        "FrenetFrame": frenet_frame(analyze(h)),
         "Invariants": invariants(h),
         "HelixVerdict": is_helix(h),
         "CurveAnalysis": analyze(h),
