@@ -329,10 +329,22 @@ class CurveAnalysis(NamedTuple):
 
     @property
     def lancret_ratio_squared(self) -> Optional[RationalFunction]:
-        """(tau/kappa)^2 reduced, or None along a straight line; computed on
-        each read, since the reduction dominates a non-helix analysis."""
-        inv = self.invariants
-        return None if inv.rho_squared.is_zero else _lancret_ratio(inv)
+        """(tau/kappa)^2 reduced, or None along a straight line.
+
+        The verdict has already proved the ratio constant on a helix: it is
+        lambda^2 = s / (1 - s) for the slope^2 s, and 0 on a planar curve.
+        Only a non-helix reduces det^2 * (sigma^2)^3 / (rho^2)^3, on each
+        read, since that reduction dominates a non-helix analysis.
+        """
+        v = self.verdict
+        if v.kind == HelixKind.LINE:
+            return None
+        if v.kind == HelixKind.HELIX:
+            s = v.slope_squared
+            return RationalFunction.constant(s / (1 - s))
+        if v.kind == HelixKind.PLANAR:
+            return RationalFunction.constant(0)
+        return _lancret_ratio(self.invariants)
 
 
 def analyze(h: Hodograph) -> CurveAnalysis:

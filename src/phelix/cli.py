@@ -10,13 +10,15 @@ Subcommands:
 
 Exit codes: 0 success, 1 parse/usage error, 2 degenerate-input verdict,
 3 internal inconsistency (two computation routes disagreed — a bug, never
-an input problem).
+an input problem).  A command whose standard output is closed before it has
+written everything (``phelix generate ... | head -1``) exits 1 quietly.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from decimal import Decimal, localcontext
@@ -333,7 +335,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def console_entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        # flush here, so that a closed pipe raises inside this block
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; point it at devnull so that
+        # the flush does not raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(EXIT_USAGE)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

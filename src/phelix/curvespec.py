@@ -46,6 +46,21 @@ FORMS = ("quaternion", "bezier-quaternion", "hopf", "hodograph", "curve")
 # (sys.get_int_max_str_digits()), which already bounds JSON integers.
 MAX_EXPONENT = 4300
 
+# Largest bit length of the numerator or of the denominator of any rational
+# in a spec, checked after an exponent is expanded ("1e4300" has 14,285
+# bits).  The exact reductions slow down with coefficient size, and a
+# value past the interpreter's digit limit could not even be printed in a
+# report.  The bound admits what the generators write: a monotone helix of
+# height 12 converted to a quaternion spec has terms of up to ~20 bits.  At
+# the bound, ``phelix classify`` on random degree-2 specs with 32-bit
+# numerators and denominators took 11.2-11.4 s (quaternion, 4 specs),
+# 14.6 s (hopf) and 16.0 s (bezier-quaternion) (Python 3.11.7, one core of
+# a shared 2-core x86-64 host).  A ``hodograph`` spec at MAX_DEGREE is
+# slow at any bound that admits those specs: random 4-bit rationals took
+# 179 s, 8-bit ones did not finish in 15 min and 32-bit ones not in 60 min;
+# nearly all of it is the (tau/kappa)^2 reduction (see MAX_DEGREE).
+MAX_COEFF_BITS = 32
+
 # Largest degree of the hodograph a spec may imply: the hodograph's own
 # degree, one less than a curve's, twice a Hopf pair's (quaternion forms stop
 # at 4).  The exact norm, gcd and constancy tests grow steeply with degree:
@@ -102,11 +117,21 @@ class CurveSpec(NamedTuple):
         return integrate(self.hodograph(), self.origin)
 
 
+def _bounded(q: Fraction) -> Fraction:
+    bits = max(q.numerator.bit_length(), q.denominator.bit_length())
+    if bits > MAX_COEFF_BITS:
+        raise SpecParseError(
+            f"rational with a {bits}-bit numerator or denominator exceeds the "
+            f"limit of {MAX_COEFF_BITS} bits"
+        )
+    return q
+
+
 def parse_rational(value) -> Fraction:
     if isinstance(value, bool):
         raise SpecParseError(f"expected a rational, got boolean {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
+        return _bounded(Fraction(value))
     if isinstance(value, float):
         raise SpecParseError(
             f"float {value!r} is not exact; write rationals as strings like \"3/7\""
@@ -119,9 +144,10 @@ def parse_rational(value) -> Fraction:
                 raise SpecParseError(
                     f"exponent in {value!r} exceeds the limit of {MAX_EXPONENT}"
                 )
-            return Fraction(text)
+            q = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise SpecParseError(f"malformed rational {value!r}: {exc}") from exc
+        return _bounded(q)
     raise SpecParseError(f"expected a rational, got {type(value).__name__} {value!r}")
 
 

@@ -60,11 +60,13 @@ class DecompositionCase:
 
 class WronskianDecomposition(NamedTuple):
     """W = omega * z_squared in canonical form; fields are None when no
-    decomposition exists (the degenerate case)."""
+    decomposition exists (the degenerate case).  hopf_gcd is gcd(z1, z2)
+    when the casework took it to choose between two readings, else None."""
 
     case: str
     omega: Optional[RatPoly]
     z_squared: Optional[GaussPoly]
+    hopf_gcd: Optional[GaussPoly] = None
 
     @property
     def exists(self) -> bool:
@@ -140,14 +142,18 @@ def _check_degrees(pair: HopfPair) -> None:
         )
 
 
-def decompose_wronskian_quintic(pair: HopfPair) -> WronskianDecomposition:
+def decompose_wronskian_quintic(
+    pair: HopfPair, w: Optional[GaussPoly] = None
+) -> WronskianDecomposition:
     """Casework on W = z1'*z2 - z1*z2' for quadratic-or-lower Hopf pairs.
 
+    w, when given, must be that Wronskian; it is built here otherwise.
     Raises DegenerateInputError when W vanishes identically (z1 and z2
     proportional, i.e. a straight tangent direction).
     """
     _check_degrees(pair)
-    w = wronskian(pair.z1, pair.z2)
+    if w is None:
+        w = wronskian(pair.z1, pair.z2)
     if w.is_zero:
         raise DegenerateInputError(
             "Wronskian vanishes identically: the Hopf pair is proportional"
@@ -164,13 +170,9 @@ def decompose_wronskian_quintic(pair: HopfPair) -> WronskianDecomposition:
         # both decompositions exist; prefer the shared-factor reading when
         # there is one so the monotone characterization stays an equivalence
         shared = poly_gcd(pair.z1, pair.z2)
-        preferred = square_split if (shared.degree or 0) >= 1 else real_split
-        case = (
-            DecompositionCase.OMEGA_CONSTANT
-            if preferred is square_split
-            else DecompositionCase.Z_CONSTANT
-        )
-        return _checked(case, preferred, w)
+        if _nonconstant(shared) is None:
+            return _checked(DecompositionCase.Z_CONSTANT, real_split, w, shared)
+        return _checked(DecompositionCase.OMEGA_CONSTANT, square_split, w, shared)
     if square_split is not None:
         return _checked(DecompositionCase.OMEGA_CONSTANT, square_split, w)
     if real_split is not None:
@@ -179,12 +181,15 @@ def decompose_wronskian_quintic(pair: HopfPair) -> WronskianDecomposition:
 
 
 def _checked(
-    case: str, split: Tuple[RatPoly, GaussPoly], w: GaussPoly
+    case: str,
+    split: Tuple[RatPoly, GaussPoly],
+    w: GaussPoly,
+    hopf_gcd: Optional[GaussPoly] = None,
 ) -> WronskianDecomposition:
     omega, z_squared = split
     if omega * z_squared != w:
         raise InternalInconsistencyError("Wronskian decomposition does not multiply back")
-    return WronskianDecomposition(case, omega, z_squared)
+    return WronskianDecomposition(case, omega, z_squared, hopf_gcd)
 
 
 def _real_proportional_split(w: GaussPoly) -> Optional[Tuple[RatPoly, GaussPoly]]:
@@ -208,11 +213,14 @@ def _constant_square_split(w: GaussPoly) -> Optional[Tuple[RatPoly, GaussPoly]]:
     return RatPoly.one(), w
 
 
+def _nonconstant(g: GaussPoly) -> Optional[GaussPoly]:
+    return g if (g.degree or 0) >= 1 else None
+
+
 def monotone_test(pair: HopfPair) -> Optional[GaussPoly]:
     """The non-constant monic gcd of (z1, z2) when one exists."""
     _check_degrees(pair)
-    g = poly_gcd(pair.z1, pair.z2)
-    return g if (g.degree or 0) >= 1 else None
+    return _nonconstant(poly_gcd(pair.z1, pair.z2))
 
 
 def quaternion_dependence(
@@ -330,7 +338,7 @@ def classify_quintic(curve: CurveInput) -> ClassificationReport:
             ),
         )
 
-    decomposition = decompose_wronskian_quintic(pair)
+    decomposition = decompose_wronskian_quintic(pair, w)
     quintic_class = _route_case(decomposition, pair, quat)
 
     report = ClassificationReport(analysis, w, decomposition, quintic_class)
@@ -351,7 +359,8 @@ def _route_case(
 ) -> QuinticClass:
     if not decomposition.exists:
         return QuinticClass(QuinticKind.NOT_HELIX)
-    shared = monotone_test(pair)
+    g = decomposition.hopf_gcd
+    shared = monotone_test(pair) if g is None else _nonconstant(g)
     if decomposition.case == DecompositionCase.OMEGA_CONSTANT:
         if shared is None:
             raise InternalInconsistencyError(

@@ -3,16 +3,28 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 
-from conftest import compose_affine, quaternion_quadratics, rand_rat_poly, seeded
+import phelix.analysis as analysis_module
+from conftest import (
+    compose_affine,
+    quaternion_quadratics,
+    quaternions,
+    rand_quaternion,
+    rand_rat_poly,
+    rationals,
+    seeded,
+)
 from phelix import (
+    DegenerateInputError,
     HelixKind,
     Hodograph,
     InternalInconsistencyError,
     Invariants,
     LineDegeneracyError,
     NotRationalFrameError,
+    Quaternion,
+    QuaternionPolynomial,
     RatPoly,
     RationalFunction,
     ScaledSqrt,
@@ -21,12 +33,14 @@ from phelix import (
     frenet_frame,
     helix_verdict,
     hodograph_from_quaternion,
+    hopf_from_quaternion,
     invariants,
     is_2ph,
     is_helix,
     is_ph,
     lancret_ratio_squared,
     sigma_poly,
+    wronskian,
 )
 from phelix.quintic import generate_general_quintic, generate_monotone_quintic
 from phelix.curves import hodograph_from_hopf
@@ -178,6 +192,79 @@ class TestCurvatureTorsion:
     def test_line_raises(self):
         with pytest.raises(LineDegeneracyError):
             lancret_ratio_squared(Hodograph(RatPoly([2]), RatPoly([1]), RatPoly()))
+
+
+def _ratio_read_off_the_verdict(h: Hodograph):
+    """(verdict kind, the analysis's (tau/kappa)^2 read while the reduction
+    raises, the reduction of det^2 (sigma^2)^3 / (rho^2)^3 itself)."""
+    a = analyze(h)
+    reduced = analysis_module._lancret_ratio(invariants(h))
+
+    def no_reduction(inv):
+        raise AssertionError("a helix or planar ratio must not be reduced")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis_module, "_lancret_ratio", no_reduction)
+        read = a.lancret_ratio_squared
+    return a.verdict.kind, read, reduced
+
+
+def _planar_quintic(rng) -> Hodograph:
+    # quaternions in span{1, k} map i into the plane z = 0
+    def coefficient():
+        w, _, _, z = rand_quaternion(rng, 6).components()
+        return Quaternion(w, 0, 0, z)
+
+    return hodograph_from_quaternion(QuaternionPolynomial([coefficient() for _ in range(3)]))
+
+
+def _constant_wronskian_cubic(rng) -> Hodograph:
+    # linear Hopf polynomials have a constant Wronskian
+    while True:
+        quat = QuaternionPolynomial([rand_quaternion(rng, 6) for _ in range(2)])
+        pair = hopf_from_quaternion(quat)
+        w = wronskian(pair.z1, pair.z2)
+        if not w.is_zero:
+            assert w.degree == 0
+            return hodograph_from_quaternion(quat)
+
+
+class TestLancretRatioFromVerdict:
+    """A helix's (tau/kappa)^2 is read off its verdict and a planar curve's is
+    0; both must equal the reduced ratio."""
+
+    @pytest.mark.parametrize(
+        "family, kind",
+        [
+            ("monotone", HelixKind.HELIX),
+            ("general", HelixKind.HELIX),
+            ("planar", HelixKind.PLANAR),
+            ("constant-wronskian", HelixKind.HELIX),
+        ],
+    )
+    def test_equals_the_reduced_ratio(self, family, kind):
+        rng = seeded(71)
+        for _ in range(6):
+            if family == "monotone":
+                h = hodograph_from_hopf(generate_monotone_quintic(rng, height=6))
+            elif family == "general":
+                h = hodograph_from_quaternion(generate_general_quintic(rng, height=6))
+            elif family == "planar":
+                h = _planar_quintic(rng)
+            else:
+                h = _constant_wronskian_cubic(rng)
+            got_kind, read, reduced = _ratio_read_off_the_verdict(h)
+            assert got_kind == kind
+            assert read == reduced and read.is_constant
+
+    @given(quaternions, quaternions, rationals, rationals)
+    def test_general_family_parameters(self, a0, a2, c0, c2):
+        try:
+            quat = generate_general_quintic(None, a0=a0, a2=a2, c0=c0, c2=c2)
+        except DegenerateInputError:
+            assume(False)
+        _, read, reduced = _ratio_read_off_the_verdict(hodograph_from_quaternion(quat))
+        assert read == reduced
 
 
 class TestIsHelix:

@@ -16,7 +16,7 @@ from phelix import InternalInconsistencyError, RatPoly, classify_quintic, perfec
 from phelix.analysis import HelixKind, HelixVerdict
 from phelix.cli import MAX_COUNT, MAX_PRECISION, MAX_SAMPLES, main
 from phelix.references import reference_curve
-from phelix.curvespec import MAX_DEGREE, MAX_EXPONENT, dump_spec, parse_spec
+from phelix.curvespec import MAX_COEFF_BITS, MAX_DEGREE, MAX_EXPONENT, dump_spec, parse_spec
 
 EXAMPLE1_DOC = {
     "form": "quaternion",
@@ -36,7 +36,20 @@ DEGREE7_DOC = {
     },
 }
 
+# quaternions in span{1, k}: a general-family quintic in the plane z = 0
+PLANAR_DOC = {
+    "form": "quaternion",
+    "coefficients": [["1", "0", "0", "2"], ["0", "0", "0", "1"], ["3", "0", "0", "-1"]],
+}
+
+NOT_HELIX_DOC = {
+    "form": "quaternion",
+    "coefficients": [["1", "2", "0", "1"], ["0", "1", "3", "0"], ["2", "-1", "1", "1"]],
+}
+
 LINE_DOC = {"form": "hodograph", "coefficients": {"dx": ["1"], "dy": [], "dz": []}}
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_doc(tmp_path, doc, name="spec.json"):
@@ -118,6 +131,20 @@ class TestClassify:
         assert main(["classify", write_doc(tmp_path, big_exponent)]) == 1
         assert "exponent" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("form", ["quaternion", "hodograph"])
+    def test_coefficient_bits_over_the_limit_exit_cleanly(self, form, tmp_path, capsys):
+        over = f"-1/{2**MAX_COEFF_BITS}"
+        if form == "quaternion":
+            coefficients = [["1", "0", "0", over], ["0", "1", "0", "0"]]
+        else:
+            coefficients = {"dx": ["1", over], "dy": ["0", "1"], "dz": []}
+        doc = {"form": form, "coefficients": coefficients}
+        assert main(["classify", write_doc(tmp_path, doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"exceeds the limit of {MAX_COEFF_BITS} bits" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_degree_over_the_limit_exits_cleanly(self, tmp_path, capsys):
         ones = ["1"] * (MAX_DEGREE + 2)
         doc = {"form": "hodograph", "coefficients": {"dx": ones, "dy": ones, "dz": ["1"]}}
@@ -140,31 +167,77 @@ class TestClassify:
         assert "is not UTF-8 text" in captured.err
 
 
+def _count_calls(monkeypatch, owner, name) -> list:
+    """Patch owner.name with a wrapper that records each call's arguments."""
+    calls, original = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 class TestOneAnalysisPerReport:
-    """classify and analyze build the hodograph invariants once and take
-    each of the two square roots once, whatever the format."""
+    """classify and analyze build the hodograph invariants and the Wronskian
+    once and take each of the two square roots once, whatever the format;
+    (tau/kappa)^2 is reduced only for a non-helix."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        return {
+            "builds": _count_calls(monkeypatch, analysis.Invariants, "__new__"),
+            "roots": _count_calls(monkeypatch, analysis, "perfect_square_root"),
+            "wronskians": _count_calls(monkeypatch, quintic, "wronskian"),
+            "reductions": _count_calls(monkeypatch, analysis, "_lancret_ratio"),
+        }
 
     @pytest.mark.parametrize("command", ["classify", "analyze"])
     @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_one_invariants_build(self, command, fmt, tmp_path, capsys, monkeypatch):
-        builds, roots = [], []
-        new, root = analysis.Invariants.__new__, analysis.perfect_square_root
-
-        def counted_new(cls, *args, **kwargs):
-            builds.append(cls)
-            return new(cls, *args, **kwargs)
-
-        def counted_root(p):
-            roots.append(p)
-            return root(p)
-
-        monkeypatch.setattr(analysis.Invariants, "__new__", counted_new)
-        monkeypatch.setattr(analysis, "perfect_square_root", counted_root)
+    def test_one_invariants_build(self, command, fmt, tmp_path, capsys, counts):
         path = write_doc(tmp_path, EXAMPLE1_DOC)
         assert main([command, "--format", fmt, path]) == 0
         assert "monotone-helix" in capsys.readouterr().out
-        assert len(builds) == 1
-        assert len(roots) == 2
+        assert len(counts["builds"]) == 1
+        assert len(counts["roots"]) == 2
+        assert len(counts["wronskians"]) == 1
+        assert len(counts["reductions"]) == 0
+
+    @pytest.mark.parametrize("command", ["classify", "analyze"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "doc, kind, reductions",
+        [(PLANAR_DOC, "planar", 0), (NOT_HELIX_DOC, "not-helix", 1)],
+        ids=["planar", "not-helix"],
+    )
+    def test_ratio_reduced_only_for_a_non_helix(
+        self, doc, kind, reductions, command, fmt, tmp_path, capsys, counts
+    ):
+        assert main([command, "--format", fmt, write_doc(tmp_path, doc)]) == 0
+        assert kind in capsys.readouterr().out
+        assert len(counts["builds"]) == 1
+        assert len(counts["wronskians"]) == 1
+        assert len(counts["reductions"]) == reductions
+
+    def test_shared_factor_gcd_taken_once(self, tmp_path, capsys, counts, monkeypatch):
+        # a real shared root gives W = c (t - 1)^2, which reads both as a
+        # constant omega and as a constant z; the gcd that chose the
+        # monotone reading is the one the report prints
+        gcds = _count_calls(monkeypatch, quintic, "poly_gcd")
+        doc = {
+            "form": "hopf",
+            "coefficients": {
+                "z1": [["-3", "0"], ["4", "0"], ["-1", "0"]],
+                "z2": [["0", "2"], ["0", "-3"], ["0", "1"]],
+            },
+        }
+        assert main(["classify", write_doc(tmp_path, doc)]) == 0
+        out = capsys.readouterr().out
+        assert "decomposition: omega-constant" in out
+        assert "shared factor gcd(z1, z2) = t - 1" in out
+        assert len(gcds) == 1
+        assert len(counts["wronskians"]) == 1
 
 
 # Exit code 3 is reserved for two routes that disagree.  Each fault breaks
@@ -431,6 +504,38 @@ class TestUsage:
         assert proc.returncode == 0
         assert "monotone-helix" in proc.stdout
 
+    def test_closed_stdout_before_any_output(self):
+        # the reader is gone before the first write, as with `| head -0`
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "phelix", "generate", "--family", "general",
+             "--count", "3", "--format", "json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 1
+        assert "Traceback" not in err
+        assert err == ""
+
+    def test_reader_closes_after_the_first_line(self, tmp_path):
+        # as with `| head -1`: the rows outgrow the pipe's buffer, so the
+        # writer is still writing when the reader goes
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "phelix", "sample", write_doc(tmp_path, DEGREE7_DOC),
+             "--n", "4000", "--precision", "40"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.stdout.readline() == b"t,x,y,z\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 1
+        assert "Traceback" not in err
+        assert err == ""
+
     def test_import_path_stays_light(self):
         # -S keeps the interpreter's site hooks, which may import anything,
         # out of the check; phelix.references is needed by verify alone, and
@@ -439,12 +544,11 @@ class TestUsage:
             "import sys, phelix.cli; "
             "print(sorted({'dataclasses', 'pathlib', 'phelix.references'} & set(sys.modules)))"
         )
-        src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
             [sys.executable, "-S", "-c", code],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
+            env={**os.environ, "PYTHONPATH": str(SRC)},
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

@@ -1,11 +1,12 @@
 """Curve-spec document parsing, validation and lossless serialization."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
 from phelix import SpecParseError, dump_spec, load_spec, parse_spec, spec_to_doc
-from phelix.curvespec import MAX_DEGREE, MAX_EXPONENT, parse_rational
+from phelix.curvespec import MAX_COEFF_BITS, MAX_DEGREE, MAX_EXPONENT, parse_rational
 
 
 QUAT_DOC = {
@@ -52,11 +53,25 @@ class TestParseRational:
             parse_rational("1/0")
 
     def test_exponent_limit(self):
-        assert parse_rational(f"1e{MAX_EXPONENT}") == 10**MAX_EXPONENT
-        assert parse_rational(f"1e-{MAX_EXPONENT}") == Fraction(1, 10**MAX_EXPONENT)
+        assert parse_rational("1e9") == 10**9
+        assert parse_rational("2.5E-3") == Fraction(1, 400)
+        # an exponent at its limit is expanded, and then meets the bit bound
+        for text in (f"1e{MAX_EXPONENT}", f"1e-{MAX_EXPONENT}"):
+            with pytest.raises(SpecParseError, match="14285-bit"):
+                parse_rational(text)
         for text in (f"1e{MAX_EXPONENT + 1}", f"2.5E-{MAX_EXPONENT + 1}"):
             with pytest.raises(SpecParseError, match="exponent"):
                 parse_rational(text)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_coefficient_bit_limit(self, sign):
+        top = sign * (2**MAX_COEFF_BITS - 1)
+        for value in (top, str(top), f"1/{abs(top)}", f"{top}/{2**MAX_COEFF_BITS - 3}"):
+            assert parse_rational(value) == Fraction(value)
+        over = sign * 2**MAX_COEFF_BITS
+        for value in (over, str(over), f"1/{abs(over)}", f"{over}e0"):
+            with pytest.raises(SpecParseError, match=f"limit of {MAX_COEFF_BITS} bits"):
+                parse_rational(value)
 
 
 class TestParseSpec:
@@ -100,6 +115,19 @@ class TestParseSpec:
         over = MAX_DEGREE + 2 if form == "hopf" else MAX_DEGREE + 1
         with pytest.raises(SpecParseError, match=f"degree {over} exceeds the limit"):
             parse_spec(doc(over))
+
+    @pytest.mark.parametrize("form", ["quaternion", "hodograph"])
+    def test_coefficient_bit_limit_through_load_spec(self, form):
+        def doc(value):
+            if form == "quaternion":
+                coefficients = [["1", "0", "0", value], ["0", "1", "0", "0"]]
+            else:
+                coefficients = {"dx": ["1", value], "dy": ["0", "1"], "dz": []}
+            return {"form": form, "coefficients": coefficients}
+
+        assert load_spec(json.dumps(doc(f"1/{2**MAX_COEFF_BITS - 1}")))
+        with pytest.raises(SpecParseError, match=f"{MAX_COEFF_BITS + 1}-bit"):
+            load_spec(json.dumps(doc(f"1/{2**MAX_COEFF_BITS}")))
 
     def test_zero_polynomial_rejected(self):
         doc = {"form": "quaternion", "coefficients": [["0", "0", "0", "0"]]}
