@@ -16,7 +16,15 @@ from phelix import InternalInconsistencyError, RatPoly, classify_quintic, perfec
 from phelix.analysis import HelixKind, HelixVerdict
 from phelix.cli import MAX_COUNT, MAX_PRECISION, MAX_SAMPLES, main
 from phelix.references import reference_curve
-from phelix.curvespec import MAX_COEFF_BITS, MAX_DEGREE, MAX_EXPONENT, dump_spec, parse_spec
+from phelix.curvespec import (
+    MAX_COEFF_BITS,
+    MAX_DEGREE,
+    MAX_EXPONENT,
+    CurveSpec,
+    dump_spec,
+    parse_spec,
+    spec_to_doc,
+)
 
 EXAMPLE1_DOC = {
     "form": "quaternion",
@@ -48,6 +56,16 @@ NOT_HELIX_DOC = {
 }
 
 LINE_DOC = {"form": "hodograph", "coefficients": {"dx": ["1"], "dy": [], "dz": []}}
+
+# (t + 1) times the monotone quintic pair ((t - i)(t - 2), (t - i)(t - 1 - i)):
+# a Hopf pair of degree 3, above the quintic casework, that is a helix
+HOPF_CUBIC_DOC = {
+    "form": "hopf",
+    "coefficients": {
+        "z1": [["0", "2"], ["-2", "1"], ["-1", "-1"], ["1", "0"]],
+        "z2": [["-1", "1"], ["-2", "-1"], ["0", "-2"], ["1", "0"]],
+    },
+}
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -281,6 +299,14 @@ FAULTS = {
         lambda axis, inv: None,
         "axis identities failed",
     ),
+    # rho^2 is compared with 4 sigma^2 |W|^2 before the constancy test reads
+    # |W|^2; an off-by-one rho^2 from the Hopf pair must stop the report
+    "hopf-identity": (
+        analysis,
+        "_hopf_cross_norm",
+        lambda inv: inv.rho_squared + 1,
+        "cross norm disagrees with the Wronskian of the Hopf pair",
+    ),
 }
 
 
@@ -298,6 +324,41 @@ class TestInternalInconsistency:
     def test_cli_exit_code(self, fault, tmp_path, capsys):
         assert main(["classify", write_doc(tmp_path, EXAMPLE1_DOC)]) == 3
         assert f"internal inconsistency: {FAULTS[fault][3]}" in capsys.readouterr().err
+
+
+class TestHopfAboveQuintic:
+    """A Hopf spec above quintic degree has no classification, and its
+    constancy test reads |W|^2 of the pair."""
+
+    @pytest.mark.parametrize("command", ["classify", "analyze"])
+    def test_helix_text(self, command, tmp_path, capsys, monkeypatch):
+        checks = _count_calls(monkeypatch, analysis, "_hopf_cross_norm")
+        assert main([command, write_doc(tmp_path, HOPF_CUBIC_DOC)]) == 0
+        out = capsys.readouterr().out
+        assert "slope verdict: helix" in out
+        assert "(tau/kappa)^2 = 1/2 (constant)" in out
+        assert "  slope^2 = 1/3" in out
+        assert "classification:" not in out
+        assert len(checks) == 1
+
+    @pytest.mark.parametrize("command", ["classify", "analyze"])
+    def test_helix_json(self, command, tmp_path, capsys, monkeypatch):
+        checks = _count_calls(monkeypatch, analysis, "_hopf_cross_norm")
+        assert main([command, "--format", "json", write_doc(tmp_path, HOPF_CUBIC_DOC)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        verdict = doc["analysis"]["verdict"]
+        assert verdict == {"kind": "helix", "slope_squared": "1/3", "axis": ["1", "-1", "1"]}
+        assert "classification" not in doc
+        assert len(checks) == 1
+
+    def test_hodograph_spec_keeps_the_sigma_route(self, tmp_path, capsys, monkeypatch):
+        # the same curve given as a hodograph has no Hopf pair to read
+        doc = spec_to_doc(CurveSpec("hodograph", parse_spec(HOPF_CUBIC_DOC).hodograph()))
+        checks = _count_calls(monkeypatch, analysis, "_hopf_cross_norm")
+        assert main(["classify", "--format", "json", write_doc(tmp_path, doc)]) == 0
+        verdict = json.loads(capsys.readouterr().out)["analysis"]["verdict"]
+        assert verdict == {"kind": "helix", "slope_squared": "1/3", "axis": ["1", "-1", "1"]}
+        assert len(checks) == 0
 
 
 class TestAnalyze:

@@ -4,21 +4,30 @@ is_helix decides constancy of (tau/kappa)^2 = det^2 sigma^6 / rho^6 by
 degrees, trial points and one exact polynomial identity.  sympy decides
 the same question by building the invariants itself and cancelling the
 quotient: the verdict is helix or planar exactly when the cancelled
-quotient is a constant.
+quotient is a constant.  Hopf pairs take the Wronskian route, which decides
+constancy on det^2 = 64 lambda |W|^6; the oracle still cancels
+det^2 sigma^6 / rho^6 from the hodograph alone.
 """
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import quaternions, rationals
+from conftest import gauss_rationals, quaternions, rationals
 from phelix import (
+    GaussPoly,
     HelixKind,
     Hodograph,
+    HopfPair,
     QuaternionPolynomial,
     RatPoly,
+    helix_verdict,
+    hodograph_from_hopf,
     hodograph_from_quaternion,
+    hopf_from_quaternion,
+    invariants,
     is_helix,
+    wronskian,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -48,6 +57,45 @@ hodographs = (
 )
 
 
+# Hopf pairs of degree at most 3: random ones, and helices — every degree-1
+# pair, the monotone (shared linear factor) and general (A1 = c0*A0 + c2*A2)
+# quintic families, and a helical pair times a common real linear factor
+nonzero_gauss = gauss_rationals.filter(bool)
+linear = gauss_rationals.map(lambda r: GaussPoly([-r, 1]))
+random_pairs = (
+    st.tuples(
+        st.lists(gauss_rationals, min_size=2, max_size=4).map(GaussPoly),
+        st.lists(gauss_rationals, min_size=1, max_size=4).map(GaussPoly),
+    )
+    .filter(lambda zs: not zs[0].is_zero or not zs[1].is_zero)
+    .map(lambda zs: HopfPair(*zs))
+)
+monotone_pairs = st.builds(
+    lambda a, b, s, r2, r4: HopfPair(GaussPoly([a]) * s * r2, GaussPoly([b]) * s * r4),
+    nonzero_gauss,
+    nonzero_gauss,
+    linear,
+    linear,
+    linear,
+)
+general_pairs = st.builds(
+    lambda a0, a2, c0, c2: QuaternionPolynomial([a0, c0 * a0 + c2 * a2, a2]),
+    quaternions,
+    quaternions,
+    rationals,
+    rationals,
+).filter(lambda a: not a.is_zero).map(hopf_from_quaternion)
+helical_pairs = st.one_of(
+    random_pairs.filter(lambda p: p.degree == 1), monotone_pairs, general_pairs
+)
+scaled_pairs = st.builds(
+    lambda pair, c: HopfPair(GaussPoly([c, 1]) * pair.z1, GaussPoly([c, 1]) * pair.z2),
+    st.one_of(random_pairs.filter(lambda p: p.degree <= 2), helical_pairs),
+    rationals,
+)
+hopf_pairs = st.one_of(random_pairs, helical_pairs, scaled_pairs)
+
+
 def to_sympy(p: RatPoly):
     coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
     return sympy.Poly(coeffs or [0], T, domain="QQ")
@@ -71,12 +119,25 @@ def sympy_ratio(h: Hodograph):
     return sympy.cancel((det**2 * s2**3, rho2**3))
 
 
-@given(hodographs)
-def test_verdict_matches_sympy_constancy(h):
+def assert_matches_sympy(h: Hodograph, kind: str) -> None:
     ratio = sympy_ratio(h)
-    kind = is_helix(h).kind
     if ratio is None:
         assert kind == HelixKind.LINE
         return
     constant = all(sympy.Poly(part, T).degree() <= 0 for part in ratio[1:])
     assert constant == (kind in (HelixKind.HELIX, HelixKind.PLANAR))
+
+
+@given(hodographs)
+def test_verdict_matches_sympy_constancy(h):
+    assert_matches_sympy(h, is_helix(h).kind)
+
+
+# sympy's cancellation dominates at degree 3; this bound keeps the test to a
+# few seconds
+@settings(max_examples=25)
+@given(hopf_pairs)
+def test_wronskian_route_matches_sympy_constancy(pair):
+    h = hodograph_from_hopf(pair)
+    w_norm = wronskian(pair.z1, pair.z2).norm_squared()
+    assert_matches_sympy(h, helix_verdict(invariants(h, w_norm)).kind)
