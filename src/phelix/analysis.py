@@ -19,9 +19,10 @@ rho^2 = 4 sigma^2 |W|^2, so tau/kappa = det / (8 |W|^3), and the identity
 that settles constancy becomes det^2 = 64 lambda |W|^6: degree 12 on a
 quintic instead of the degree-36 det^2 sigma^6 = lambda rho^6.  The Hopf
 identity is checked exactly before the test reads |W|^2, so both forms
-decide the same question on every input.  Quintic classification and Hopf
-specs take the |W|^2 form; specs with no Hopf pair (hodograph and curve
-forms) keep det^2 sigma^6 = lambda rho^6.
+decide the same question on every input.  Quintic classification (the
+quaternion and bezier-quaternion specs, and Hopf specs of degree <= 2)
+takes the |W|^2 form; Hopf specs above quintic degree and the hodograph
+and curve specs keep det^2 sigma^6 = lambda rho^6.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from .analysis import CurveAnalysis, HelixKind, HelixVerdict, analyze
 from .curvespec import CurveSpec, encode_gauss_poly, encode_rat_poly, encode_rationals
-from .polynomials import GaussPoly, RatPoly, RationalFunction, ScaledSqrt, wronskian
+from .polynomials import GaussPoly, RatPoly, RationalFunction, ScaledSqrt
 from .quintic import QUINTIC_MAX_DEGREE, ClassificationReport, classify_quintic
 
 TOOL_NAME = "phelix"
@@ -51,19 +51,12 @@ def _verdict_doc(v: HelixVerdict) -> dict:
 
 def analyze_spec(spec: CurveSpec) -> Tuple[CurveAnalysis, Optional[ClassificationReport]]:
     """The analysis of a spec's curve and, for quintic forms (quaternion, or
-    Hopf of degree <= 2), the classification that carries that analysis.
-
-    A Hopf pair above quintic degree gets no classification, but its
-    analysis still reads |W|^2 of the pair; hodograph and curve specs have
-    no pair."""
+    Hopf of degree <= 2), the classification that carries that analysis."""
     curve = spec.quaternion_form()
     if curve is None:
         curve = spec.hopf_form()
-        if curve is None:
+        if curve is None or curve.degree > QUINTIC_MAX_DEGREE:
             return analyze(spec.hodograph()), None
-        if curve.degree > QUINTIC_MAX_DEGREE:
-            w = wronskian(curve.z1, curve.z2)
-            return analyze(spec.hodograph(), w.norm_squared()), None
     classification = classify_quintic(curve)
     return classification.analysis, classification
 

@@ -327,38 +327,32 @@ class TestInternalInconsistency:
 
 
 class TestHopfAboveQuintic:
-    """A Hopf spec above quintic degree has no classification, and its
-    constancy test reads |W|^2 of the pair."""
+    """A Hopf spec above quintic degree has no classification and, like the
+    same curve given as a hodograph, keeps det^2 sigma^6 = lambda rho^6: no
+    Wronskian is built for it, so no rho^2 = 4 sigma^2 |W|^2 check runs."""
+
+    @pytest.mark.parametrize("form", ["hopf", "hodograph"])
+    @pytest.mark.parametrize("command", ["classify", "analyze"])
+    def test_helix_json(self, command, form, tmp_path, capsys, monkeypatch):
+        doc = HOPF_CUBIC_DOC
+        if form == "hodograph":
+            doc = spec_to_doc(CurveSpec("hodograph", parse_spec(doc).hodograph()))
+        checks = _count_calls(monkeypatch, analysis, "_hopf_cross_norm")
+        assert main([command, "--format", "json", write_doc(tmp_path, doc)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        verdict = report["analysis"]["verdict"]
+        assert verdict == {"kind": "helix", "slope_squared": "1/3", "axis": ["1", "-1", "1"]}
+        assert "classification" not in report
+        assert len(checks) == 0
 
     @pytest.mark.parametrize("command", ["classify", "analyze"])
-    def test_helix_text(self, command, tmp_path, capsys, monkeypatch):
-        checks = _count_calls(monkeypatch, analysis, "_hopf_cross_norm")
+    def test_helix_text(self, command, tmp_path, capsys):
         assert main([command, write_doc(tmp_path, HOPF_CUBIC_DOC)]) == 0
         out = capsys.readouterr().out
         assert "slope verdict: helix" in out
         assert "(tau/kappa)^2 = 1/2 (constant)" in out
         assert "  slope^2 = 1/3" in out
         assert "classification:" not in out
-        assert len(checks) == 1
-
-    @pytest.mark.parametrize("command", ["classify", "analyze"])
-    def test_helix_json(self, command, tmp_path, capsys, monkeypatch):
-        checks = _count_calls(monkeypatch, analysis, "_hopf_cross_norm")
-        assert main([command, "--format", "json", write_doc(tmp_path, HOPF_CUBIC_DOC)]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        verdict = doc["analysis"]["verdict"]
-        assert verdict == {"kind": "helix", "slope_squared": "1/3", "axis": ["1", "-1", "1"]}
-        assert "classification" not in doc
-        assert len(checks) == 1
-
-    def test_hodograph_spec_keeps_the_sigma_route(self, tmp_path, capsys, monkeypatch):
-        # the same curve given as a hodograph has no Hopf pair to read
-        doc = spec_to_doc(CurveSpec("hodograph", parse_spec(HOPF_CUBIC_DOC).hodograph()))
-        checks = _count_calls(monkeypatch, analysis, "_hopf_cross_norm")
-        assert main(["classify", "--format", "json", write_doc(tmp_path, doc)]) == 0
-        verdict = json.loads(capsys.readouterr().out)["analysis"]["verdict"]
-        assert verdict == {"kind": "helix", "slope_squared": "1/3", "axis": ["1", "-1", "1"]}
-        assert len(checks) == 0
 
 
 class TestAnalyze:
