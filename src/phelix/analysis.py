@@ -13,16 +13,17 @@ is nonzero).
 Every question reads the same four invariants of the hodograph, so they are
 built once into an :class:`Invariants` record and each verdict reads that.
 
-When the hodograph comes from a known Hopf pair (z1, z2), the record also
-carries |W|^2 for the pair's Wronskian W = z1'*z2 - z1*z2'.  Then
-rho^2 = 4 sigma^2 |W|^2, so tau/kappa = det / (8 |W|^3), and the identity
-that settles constancy becomes det^2 = 64 lambda |W|^6: degree 12 on a
-quintic instead of the degree-36 det^2 sigma^6 = lambda rho^6.  The Hopf
-identity is checked exactly before the test reads |W|^2, so both forms
-decide the same question on every input.  Quintic classification (the
-quaternion and bezier-quaternion specs, and Hopf specs of degree <= 2)
-takes the |W|^2 form; Hopf specs above quintic degree and the hodograph
-and curve specs keep det^2 sigma^6 = lambda rho^6.
+Constancy of (tau/kappa)^2 = det^2 sigma^6 / rho^6 is settled by one exact
+division.  On a PH curve the cross norm factors through the speed: for a
+Hopf pair (z1, z2) with Wronskian W = z1'*z2 - z1*z2', rho^2 = 4 sigma^2 |W|^2.
+So the test divides, q, r = divmod(rho^2, sigma^2), and decides
+det^2 = lambda q^3: degree 12 on a quintic instead of the degree-36
+det^2 sigma^6 = lambda rho^6.  When sigma^2 divides rho^2 the two identities
+are equivalent.  When it does not, the ratio is not constant: were
+det^2 sigma^6 = lambda rho^6 to hold with lambda and det nonzero, then
+3 v_p(rho^2) = 2 v_p(det) + 3 v_p(sigma^2) >= 3 v_p(sigma^2) for every
+irreducible factor p, so sigma^2 would divide rho^2.  The test reads only
+the hodograph, so every spec form takes it.
 """
 
 from __future__ import annotations
@@ -66,8 +67,6 @@ class Invariants(NamedTuple):
     v is alpha', sigma_squared = <alpha', alpha'>, cross = alpha' ^ alpha'',
     rho_squared = <cross, cross> and det = <cross, alpha'''>, which is
     det(alpha', alpha'', alpha''').  All are exact rational polynomials.
-    wronskian_norm is |W|^2 for the Wronskian W of the Hopf pair whose Hopf
-    map is the hodograph, when that pair is known, and None otherwise.
     """
 
     v: Vec3
@@ -75,22 +74,15 @@ class Invariants(NamedTuple):
     cross: Vec3
     rho_squared: RatPoly
     det: RatPoly
-    wronskian_norm: Optional[RatPoly] = None
 
 
-def invariants(h: Hodograph, wronskian_norm: Optional[RatPoly] = None) -> Invariants:
-    """Build the invariants, taking each derivative and product once.
-
-    wronskian_norm is |W|^2 of h's Hopf pair, when one is known; the helix
-    verdict checks rho^2 = 4 sigma^2 |W|^2 before it relies on it.
-    """
+def invariants(h: Hodograph) -> Invariants:
+    """Build the invariants, taking each derivative and product once."""
     v = h.vector()
     a2 = tuple(c.derivative() for c in v)
     a3 = tuple(c.derivative() for c in a2)
     cross = _cross(v, a2)
-    return Invariants(
-        v, _dot(v, v), cross, _dot(cross, cross), _dot(cross, a3), wronskian_norm
-    )
+    return Invariants(v, _dot(v, v), cross, _dot(cross, cross), _dot(cross, a3))
 
 
 def norms(inv: Invariants) -> Tuple[Optional[ScaledSqrt], Optional[ScaledSqrt]]:
@@ -179,22 +171,18 @@ def _scan_points(n: int) -> Tuple[Fraction, ...]:
     return tuple(Fraction((k + 1) // 2 if k % 2 else -(k // 2)) for k in range(n))
 
 
-def _hopf_cross_norm(inv: Invariants) -> RatPoly:
-    """rho^2 as the Hopf pair gives it: 4 sigma^2 |W|^2."""
-    return 4 * inv.sigma_squared * inv.wronskian_norm
-
-
 def _constant_ratio_value(inv: Invariants) -> Optional[Fraction]:
     """The constant value of det^2 (s2)^3 / (rho^2)^3, or None.
 
     Constancy means det^2 * s2^3 = lambda * (rho^2)^3 as polynomials.  The
-    candidate lambda is pinned by degrees and leading coefficients, cheap
+    candidate lambda is pinned by degrees and leading coefficients, and cheap
     exact point evaluations reject non-constant inputs without ever forming
-    the large products, and survivors get the full polynomial comparison.
-    With a Hopf pair that comparison is of degree 12 instead of 36 on a
-    quintic: rho^2 = 4 * s2 * |W|^2 is checked exactly first (a failure is
-    an internal inconsistency), and then s2^3 cancels, leaving
-    det^2 = 64 * lambda * |W|^6 with the same lambda.
+    the large products.  A survivor is settled by one exact division,
+    q, r = divmod(rho^2, s2).  With r = 0 the identity is det^2 = lambda q^3,
+    of degree 12 on a quintic.  With r != 0 the ratio is not constant: lambda
+    and det are nonzero here, so the identity would give
+    3 v_p(rho^2) = 2 v_p(det) + 3 v_p(s2) >= 3 v_p(s2) for every irreducible
+    factor p, and s2 would divide rho^2.
     """
     det, s2, rho_squared = inv.det, inv.sigma_squared, inv.rho_squared
     if 2 * det.degree + 3 * s2.degree != 3 * rho_squared.degree:
@@ -210,15 +198,8 @@ def _constant_ratio_value(inv: Invariants) -> Optional[Fraction]:
         rv = rho_squared.evaluate(t)
         if dv * dv * sv**3 != lam * rv**3:
             return None
-    if inv.wronskian_norm is None:
-        constant = det * det * s2**3 == lam * rho_squared**3
-    else:
-        if _hopf_cross_norm(inv) != rho_squared:
-            raise InternalInconsistencyError(
-                "cross norm disagrees with the Wronskian of the Hopf pair"
-            )
-        constant = det * det == 64 * lam * inv.wronskian_norm**3
-    return lam if constant else None
+    q, r = divmod(rho_squared, s2)
+    return lam if r.is_zero and det * det == lam * q**3 else None
 
 
 def helix_verdict(inv: Invariants) -> HelixVerdict:
@@ -382,12 +363,8 @@ class CurveAnalysis(NamedTuple):
         return _lancret_ratio(self.invariants)
 
 
-def analyze(h: Hodograph, wronskian_norm: Optional[RatPoly] = None) -> CurveAnalysis:
-    """Run every analysis that is defined for the input and bundle the results.
-
-    wronskian_norm is |W|^2 of h's Hopf pair, when one is known; the helix
-    verdict then decides constancy on it (see :func:`_constant_ratio_value`).
-    """
-    inv = invariants(h, wronskian_norm)
+def analyze(h: Hodograph) -> CurveAnalysis:
+    """Run every analysis that is defined for the input and bundle the results."""
+    inv = invariants(h)
     sigma, rho = norms(inv)
     return CurveAnalysis(inv, sigma, rho, helix_verdict(inv))

@@ -1,10 +1,12 @@
 """Parsing and serialization of curve-specification documents.
 
 A curve spec is a JSON object with a ``form`` tag, exact coefficients and an
-optional start point.  Rationals travel as strings ("p/q" or "p") or JSON
-integers — floats are rejected so nothing can silently leave exact
-arithmetic.  Complex values are [re, im] pairs, quaternions are
-[w, x, y, z] quadruples.
+optional start point, ``origin``, that anchors the integration of the
+hodograph.  The ``curve`` form is not integrated: its constant terms are its
+start point, so an ``origin`` on it is a parse error.  Rationals travel as
+strings ("p/q" or "p") or JSON integers — floats are rejected so nothing can
+silently leave exact arithmetic.  Complex values are [re, im] pairs,
+quaternions are [w, x, y, z] quadruples.
 
 Forms and their coefficient layouts (all polynomial arrays ascending):
 
@@ -196,6 +198,10 @@ def parse_spec(doc) -> CurveSpec:
 
     origin = (Fraction(0), Fraction(0), Fraction(0))
     if "origin" in doc:
+        if form == "curve":
+            raise SpecParseError(
+                "curve: origin is not accepted; the curve's constant terms are its start point"
+            )
         raw = doc["origin"]
         if not isinstance(raw, (list, tuple)) or len(raw) != 3:
             raise SpecParseError("origin must be a [x, y, z] triple")

@@ -312,9 +312,7 @@ def classify_quintic(curve: CurveInput) -> ClassificationReport:
     test on the hodograph.  The two must agree — a decomposable Wronskian if
     and only if both norms are polynomial if and only if the slope test says
     helix (or planar) — and any disagreement raises
-    InternalInconsistencyError rather than returning a report.  The slope
-    test reads |W|^2 for its constancy identity only after checking
-    rho^2 = 4 sigma^2 |W|^2 against the hodograph.
+    InternalInconsistencyError rather than returning a report.
     """
     if isinstance(curve, QuaternionPolynomial):
         quat = curve
@@ -327,7 +325,7 @@ def classify_quintic(curve: CurveInput) -> ClassificationReport:
     _check_degrees(pair)
 
     w = wronskian(pair.z1, pair.z2)
-    analysis = analyze(hodograph_from_hopf(pair), w.norm_squared())
+    analysis = analyze(hodograph_from_hopf(pair))
 
     if w.is_zero:
         return ClassificationReport(

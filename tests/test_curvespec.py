@@ -163,6 +163,13 @@ class TestParseSpec:
         with pytest.raises(SpecParseError):
             parse_spec(dict(QUAT_DOC, origin=["1", "2"]))
 
+    @pytest.mark.parametrize("origin", [["1", "2", "3"], ["0", "0", "0"]])
+    def test_origin_on_curve_rejected(self, origin):
+        # the curve form is not integrated: its constant terms are its start
+        # point, and an origin beside them would be echoed but never applied
+        with pytest.raises(SpecParseError, match="origin"):
+            parse_spec(dict(CURVE_DOC, origin=origin))
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("doc", [QUAT_DOC, HOPF_DOC, CURVE_DOC])

@@ -4,9 +4,9 @@ is_helix decides constancy of (tau/kappa)^2 = det^2 sigma^6 / rho^6 by
 degrees, trial points and one exact polynomial identity.  sympy decides
 the same question by building the invariants itself and cancelling the
 quotient: the verdict is helix or planar exactly when the cancelled
-quotient is a constant.  Hopf pairs take the Wronskian route, which decides
-constancy on det^2 = 64 lambda |W|^6; the oracle still cancels
-det^2 sigma^6 / rho^6 from the hodograph alone.
+quotient is a constant.  On the Hopf map of a pair, sigma^2 divides rho^2,
+so is_helix decides constancy on det^2 = lambda q^3 for q = rho^2 / sigma^2;
+the oracle still cancels det^2 sigma^6 / rho^6 whole.
 """
 
 import pytest
@@ -21,13 +21,10 @@ from phelix import (
     HopfPair,
     QuaternionPolynomial,
     RatPoly,
-    helix_verdict,
     hodograph_from_hopf,
     hodograph_from_quaternion,
     hopf_from_quaternion,
-    invariants,
     is_helix,
-    wronskian,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -139,5 +136,4 @@ def test_verdict_matches_sympy_constancy(h):
 @given(hopf_pairs)
 def test_wronskian_route_matches_sympy_constancy(pair):
     h = hodograph_from_hopf(pair)
-    w_norm = wronskian(pair.z1, pair.z2).norm_squared()
-    assert_matches_sympy(h, helix_verdict(invariants(h, w_norm)).kind)
+    assert_matches_sympy(h, is_helix(h).kind)

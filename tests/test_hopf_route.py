@@ -1,18 +1,25 @@
-"""The constancy test on the Hopf pair's Wronskian against the hodograph's.
+"""Differential test of the constancy identity against the degree-36 one.
 
-Given |W|^2 of the Hopf pair, helix_verdict checks rho^2 = 4 sigma^2 |W|^2
-and decides constancy on det^2 = 64 lambda |W|^6; without it, on
-det^2 sigma^6 = lambda rho^6.  The two routes must give the same verdict,
-slope and axis on every pair, whatever its degree.
+_constant_ratio_value divides rho^2 by sigma^2 and decides
+det^2 = lambda q^3 for the quotient q, reading a nonzero remainder as "not
+constant".  The reference below decides det^2 sigma^6 = lambda rho^6 with no
+division.  Both must give the same lambda or None on every input that
+reaches the test: Hopf pairs of degree 1-4 (random, planar, proportional
+and helical) and arbitrary hodographs of degree 1-4, which are almost never
+PH.  The second run turns off the point scan, so every input with nonzero
+det and rho^2 reaches the identity, those whose remainder is nonzero
+included.
 """
 
 import pytest
 
-from conftest import rand_fraction, rand_gaussian, seeded
+import phelix.analysis as analysis
+from conftest import rand_fraction, rand_gaussian, rand_rat_poly, seeded
 from phelix import (
     GaussianRational,
     GaussPoly,
     HelixKind,
+    Hodograph,
     HopfPair,
     generate_general_quintic,
     generate_monotone_quintic,
@@ -24,13 +31,18 @@ from phelix import (
 )
 
 
-def both_routes(pair: HopfPair):
-    """(verdict with |W|^2, verdict without), after checking the Hopf identity."""
-    h = hodograph_from_hopf(pair)
-    w_norm = wronskian(pair.z1, pair.z2).norm_squared()
-    inv = invariants(h, w_norm)
-    assert inv.rho_squared == 4 * inv.sigma_squared * w_norm
-    return helix_verdict(inv), helix_verdict(invariants(h))
+def reference_ratio_value(inv):
+    """lambda with det^2 sigma^6 = lambda rho^6, or None: the same degree
+    check and leading-coefficient lambda, then the degree-36 identity."""
+    det, s2, rho = inv.det, inv.sigma_squared, inv.rho_squared
+    if 2 * det.degree + 3 * s2.degree != 3 * rho.degree:
+        return None
+    lam = (
+        det.leading_coefficient**2
+        * s2.leading_coefficient**3
+        / rho.leading_coefficient**3
+    )
+    return lam if det * det * s2**3 == lam * rho**3 else None
 
 
 def rand_gauss_poly(rng, degree: int) -> GaussPoly:
@@ -78,24 +90,73 @@ def times_real_linear(make):
     return scaled
 
 
+def random_hodograph(rng) -> Hodograph:
+    degree = rng.randint(1, 4)
+    parts = [rand_rat_poly(rng, rng.randint(0, degree)) for _ in range(2)]
+    return Hodograph(*parts, rand_rat_poly(rng, degree))
+
+
+# family: (generator, number of draws, the kinds its draws must cover)
 FAMILIES = {
-    "random": (random_pair, None),
-    "real": (real_pair, HelixKind.PLANAR),
-    "proportional": (proportional_pair, HelixKind.LINE),
-    "monotone": (monotone_pair, HelixKind.HELIX),
-    "general": (general_pair, HelixKind.HELIX),
-    "monotone-times-linear": (times_real_linear(monotone_pair), HelixKind.HELIX),
-    "general-times-linear": (times_real_linear(general_pair), HelixKind.HELIX),
+    "random": (random_pair, 60, {HelixKind.HELIX, HelixKind.NOT_HELIX}),
+    "real": (real_pair, 12, {HelixKind.PLANAR}),
+    "proportional": (proportional_pair, 12, {HelixKind.LINE}),
+    "monotone": (monotone_pair, 12, {HelixKind.HELIX}),
+    "general": (general_pair, 12, {HelixKind.HELIX}),
+    "monotone-times-linear": (times_real_linear(monotone_pair), 12, {HelixKind.HELIX}),
+    "general-times-linear": (times_real_linear(general_pair), 12, {HelixKind.HELIX}),
+    "hodograph": (random_hodograph, 60, {HelixKind.PLANAR, HelixKind.NOT_HELIX}),
 }
+
+
+def draws(family):
+    """One family's inputs, drawn before any test patches the analysis (the
+    generators accept each draw through is_helix)."""
+    make, count, _ = FAMILIES[family]
+    rng = seeded(sum(map(ord, family)))
+    return [make(rng) for _ in range(count)]
+
+
+def check_family(family, items, scan):
+    """Compare the identity with the reference on one family's inputs; the
+    kinds they decide must be the family's.  Returns how many inputs reached
+    the identity with sigma^2 not dividing rho^2."""
+    kinds, remainders = set(), 0
+    for item in items:
+        if isinstance(item, HopfPair):
+            inv = invariants(hodograph_from_hopf(item))
+            w_norm = wronskian(item.z1, item.z2).norm_squared()
+            assert inv.rho_squared == 4 * inv.sigma_squared * w_norm
+        else:
+            inv = invariants(item)
+        if inv.rho_squared.is_zero:
+            found = HelixKind.LINE
+        elif inv.det.is_zero:
+            found = HelixKind.PLANAR
+        else:
+            lam = analysis._constant_ratio_value(inv)
+            assert lam == reference_ratio_value(inv)
+            found = HelixKind.NOT_HELIX if lam is None else HelixKind.HELIX
+            remainders += not (inv.rho_squared % inv.sigma_squared).is_zero
+        if scan:
+            assert helix_verdict(inv).kind == found
+        kinds.add(found)
+    assert kinds == FAMILIES[family][2]
+    return remainders
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_routes_agree(family):
-    make, kind = FAMILIES[family]
-    rng = seeded(sum(map(ord, family)))
-    kinds = set()
-    for _ in range(60 if family == "random" else 12):
-        with_w, without_w = both_routes(make(rng))
-        assert with_w == without_w
-        kinds.add(with_w.kind)
-    assert kinds == ({HelixKind.HELIX, HelixKind.NOT_HELIX} if kind is None else {kind})
+    check_family(family, draws(family), scan=True)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_routes_agree_without_scan(family, monkeypatch):
+    # with no scan points every survivor of the degree check is settled by
+    # the division, so a nonzero remainder must be read as "not constant";
+    # helix_verdict is not called, since the axis scan needs the points too
+    items = draws(family)
+    monkeypatch.setattr(analysis, "_scan_points", lambda n: ())
+    remainders = check_family(family, items, scan=False)
+    # rho^2 = 4 sigma^2 |W|^2 makes the remainder zero on every Hopf pair
+    assert (remainders > 0) == (family == "hodograph")
