@@ -33,15 +33,12 @@ from .curves import (
     PolynomialCurve,
     Quaternion,
     QuaternionPolynomial,
-    bezier_evaluate,
     bezier_to_power,
     hodograph_from_hopf,
     hodograph_from_quaternion,
     hopf_from_quaternion,
     integrate,
     quaternion_from_hopf,
-    quaternion_hodograph_product,
-    sigma_poly,
 )
 from .curvespec import CurveSpec, dump_spec, load_spec, parse_spec, spec_to_doc
 from .errors import (

@@ -323,7 +323,9 @@ def frenet_frame(analysis: CurveAnalysis) -> FrenetFrame:
     inv = analysis.invariants
     tangent = tuple(RationalFunction(p, speed) for p in inv.v)
     binormal = tuple(RationalFunction(p, rho.body) for p in inv.cross)
-    normal = _cross(binormal, tangent)
+    # binormal x tangent, taken on the numerators: one quotient per entry
+    normal_den = rho.body * speed
+    normal = tuple(RationalFunction(p, normal_den) for p in _cross(inv.cross, inv.v))
     return FrenetFrame(tangent, binormal, normal, rho.scale)
 
 

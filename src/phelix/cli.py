@@ -63,6 +63,18 @@ MAX_PRECISION = 100
 # is printed, at about 13 ms a curve, so a run stays near two minutes.
 MAX_COUNT = 10_000
 
+# Upper bound on ``generate --height``, so that every spec ``generate``
+# writes stays within curvespec.MAX_COEFF_BITS (32) and reloads.  Each
+# sampled rational is p/q with |p| <= H and 1 <= q <= H, so a sampled
+# Gaussian rational is G/d with d = q_re*q_im <= H^2 and both parts of G at
+# most H^2.  A monotone spec's coefficients are a, a*(r + r2) and a*r*r2
+# for sampled Gaussian rationals a, r, r2: each part is a numerator of at
+# most 4*H^6 over a denominator of at most H^6, since the denominator
+# multiplies those of three Gaussian rationals.  A general spec's are the
+# sampled components and c0*a + c2*b, at most 2*H^4 over H^4.  So the
+# monotone bound 4*H^6 < 2^32 decides it: H <= 31.
+MAX_HEIGHT = 31
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse maps usage errors to exit 2 by default; this tool reserves 2
@@ -197,8 +209,10 @@ def _cmd_generate(ns) -> int:
     if not 1 <= ns.count <= MAX_COUNT:
         print(f"error: --count must be between 1 and {MAX_COUNT}", file=sys.stderr)
         return EXIT_USAGE
-    if ns.height < 1:
-        print("error: --height must be at least 1", file=sys.stderr)
+    if not 1 <= ns.height <= MAX_HEIGHT:
+        print(
+            f"error: --height must be at least 1 and at most {MAX_HEIGHT}", file=sys.stderr
+        )
         return EXIT_USAGE
     rng = random.Random(ns.seed)
     curves = []
@@ -307,7 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_generate.add_argument("--seed", type=int, default=0)
     p_generate.add_argument(
-        "--height", type=int, default=8, help="bound on sampled numerators/denominators"
+        "--height",
+        type=int,
+        default=8,
+        help=f"bound on sampled numerators/denominators (1 to {MAX_HEIGHT})",
     )
     add_format(p_generate)
     p_generate.set_defaults(func=_cmd_generate)

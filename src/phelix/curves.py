@@ -16,7 +16,7 @@ form is accepted even when that property fails, and analysis detects it.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
 from .errors import DegenerateInputError, UnsupportedDegreeError
 from .polynomials import GaussPoly, RatLike, RatPoly, _Polynomial, as_fraction
@@ -69,12 +69,6 @@ class Quaternion:
             self.w - other.w, self.x - other.x, self.y - other.y, self.z - other.z
         )
 
-    def __rsub__(self, other) -> "Quaternion":
-        return Quaternion.coerce(other) - self
-
-    def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
-
     def __mul__(self, other) -> "Quaternion":
         other = Quaternion.coerce(other)
         a, b, c, d = self.components()
@@ -88,12 +82,6 @@ class Quaternion:
 
     def __rmul__(self, other) -> "Quaternion":
         return Quaternion.coerce(other) * self
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def norm_squared(self) -> Fraction:
-        return self.w**2 + self.x**2 + self.y**2 + self.z**2
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (Quaternion, Fraction, int)):
@@ -119,9 +107,6 @@ class Quaternion:
             else:
                 parts.append(f" - {body}" if value < 0 else f" + {body}")
         return "".join(parts) if parts else "0"
-
-
-QUATERNION_I = Quaternion(0, 1, 0, 0)
 
 
 class QuaternionPolynomial(_Polynomial):
@@ -169,9 +154,6 @@ class QuaternionPolynomial(_Polynomial):
             RatPoly([c.y for c in self.coeffs]),
             RatPoly([c.z for c in self.coeffs]),
         )
-
-    def conjugate(self) -> "QuaternionPolynomial":
-        return QuaternionPolynomial([c.conjugate() for c in self.coeffs])
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -261,10 +243,6 @@ class PolynomialCurve:
         t = as_fraction(t)
         return (self.x.evaluate(t), self.y.evaluate(t), self.z.evaluate(t))
 
-    @property
-    def degree(self) -> int:
-        return max(self.x.degree or 0, self.y.degree or 0, self.z.degree or 0)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, PolynomialCurve):
             return (self.x, self.y, self.z) == (other.x, other.y, other.z)
@@ -298,16 +276,6 @@ def hodograph_from_quaternion(a: QuaternionPolynomial) -> Hodograph:
     )
 
 
-def quaternion_hodograph_product(a: QuaternionPolynomial) -> QuaternionPolynomial:
-    """The literal quaternion product A(t) * i * conj(A(t)).
-
-    Always a pure vector (zero scalar part); its i, j, k components equal the
-    hodograph components.  Kept as an independent route for cross-checking
-    the expanded formulas.
-    """
-    return a * QuaternionPolynomial([QUATERNION_I]) * a.conjugate()
-
-
 def hopf_from_quaternion(a: QuaternionPolynomial) -> HopfPair:
     """Reassemble (z1, z2) = (u + i v, q + i p).  Lossless."""
     u, v, p, q = a.component_polys()
@@ -334,16 +302,6 @@ def hodograph_from_hopf(pair: HopfPair) -> Hodograph:
     )
 
 
-def sigma_poly(source: Union[QuaternionPolynomial, HopfPair]) -> RatPoly:
-    """The exact speed polynomial u^2 + v^2 + p^2 + q^2 = |z1|^2 + |z2|^2."""
-    if isinstance(source, QuaternionPolynomial):
-        u, v, p, q = source.component_polys()
-        return u * u + v * v + p * p + q * q
-    if isinstance(source, HopfPair):
-        return source.z1.norm_squared() + source.z2.norm_squared()
-    raise TypeError(f"expected a quaternion polynomial or Hopf pair, got {source!r}")
-
-
 def bezier_to_power(controls: Sequence[Quaternion]) -> QuaternionPolynomial:
     """Convert quadratic (or lower) Bernstein control quaternions to power basis."""
     controls = [Quaternion.coerce(c) for c in controls]
@@ -358,21 +316,6 @@ def bezier_to_power(controls: Sequence[Quaternion]) -> QuaternionPolynomial:
         return QuaternionPolynomial([c0, c1 - c0])
     c0, c1, c2 = controls
     return QuaternionPolynomial([c0, 2 * (c1 - c0), c0 - 2 * c1 + c2])
-
-
-def bezier_evaluate(controls: Sequence[Quaternion], t: RatLike) -> Quaternion:
-    """Evaluate the Bernstein form directly (de Casteljau-free, exact)."""
-    controls = [Quaternion.coerce(c) for c in controls]
-    t = as_fraction(t)
-    s = 1 - t
-    n = len(controls) - 1
-    if n == 0:
-        return controls[0]
-    if n == 1:
-        return s * controls[0] + t * controls[1]
-    if n == 2:
-        return (s * s) * controls[0] + (2 * s * t) * controls[1] + (t * t) * controls[2]
-    raise UnsupportedDegreeError(f"expected 1 to 3 control quaternions, got {n + 1}")
 
 
 def integrate(h: Hodograph, origin: Sequence[RatLike] = (0, 0, 0)) -> PolynomialCurve:

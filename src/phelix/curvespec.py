@@ -15,6 +15,10 @@ Forms and their coefficient layouts (all polynomial arrays ascending):
 * ``hopf``              — {"z1": [[re, im], ...], "z2": [...]}
 * ``hodograph``         — {"dx": [...], "dy": [...], "dz": [...]}
 * ``curve``             — {"x": [...], "y": [...], "z": [...]}
+
+A spec has no other keys: any key besides ``form``, ``coefficients`` and
+``origin``, or besides its form's coefficient names, is a parse error, so a
+misspelt key cannot silently leave a polynomial at zero.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .errors import DegenerateInputError, SpecParseError
 from .polynomials import GaussPoly, GaussianRational, RatPoly
 
 FORMS = ("quaternion", "bezier-quaternion", "hopf", "hodograph", "curve")
+SPEC_KEYS = ("form", "coefficients", "origin")
 
 # Largest |e| accepted in a decimal string such as "1.5e-3".  Fraction(str)
 # expands the exponent into an exact integer, so "1e2000000" alone would
@@ -183,12 +188,20 @@ def _require_keys(obj, keys, label: str) -> None:
     missing = [k for k in keys if k not in obj]
     if missing:
         raise SpecParseError(f"{label}: missing keys {missing}")
+    _reject_unknown_keys(obj, keys, label)
+
+
+def _reject_unknown_keys(obj: dict, keys, label: str) -> None:
+    unknown = [k for k in obj if k not in keys]
+    if unknown:
+        raise SpecParseError(f"{label}: unknown key {unknown[0]!r}; expected only {keys}")
 
 
 def parse_spec(doc) -> CurveSpec:
     """Validate and parse one curve-spec document."""
     if not isinstance(doc, dict):
         raise SpecParseError("curve spec must be a JSON object")
+    _reject_unknown_keys(doc, SPEC_KEYS, "curve spec")
     form = doc.get("form")
     if form not in FORMS:
         raise SpecParseError(f"unknown form {form!r}; expected one of {FORMS}")

@@ -96,9 +96,6 @@ class GaussianRational:
         other = GaussianRational.coerce(other)
         return GaussianRational(self.re - other.re, self.im - other.im)
 
-    def __rsub__(self, other) -> "GaussianRational":
-        return GaussianRational.coerce(other) - self
-
     def __neg__(self) -> "GaussianRational":
         return GaussianRational(-self.re, -self.im)
 
@@ -117,9 +114,6 @@ class GaussianRational:
         if not n:
             raise ZeroDivisionError("division by zero Gaussian rational")
         return self * other.conjugate() * GaussianRational(Fraction(1, 1) / n)
-
-    def __rtruediv__(self, other) -> "GaussianRational":
-        return GaussianRational.coerce(other) / self
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (GaussianRational, Fraction, int)):
@@ -179,16 +173,8 @@ class _Polynomial:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def one(cls):
         return cls([cls._field_one()])
-
-    @classmethod
-    def constant(cls, value):
-        return cls([value])
 
     # -- structure -----------------------------------------------------------
 
@@ -243,15 +229,6 @@ class _Polynomial:
             [self.coefficient(k) - other.coefficient(k) for k in range(n)]
         )
 
-    def __rsub__(self, other):
-        other = self._as_same(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self):
-        return type(self)([-c for c in self.coeffs])
-
     def __mul__(self, other):
         other = self._as_same(other)
         if other is None:
@@ -294,7 +271,7 @@ class _Polynomial:
     def __hash__(self) -> int:
         return hash((type(self).__name__, self.coeffs))
 
-    # -- calculus and evaluation ----------------------------------------------
+    # -- calculus --------------------------------------------------------------
 
     def derivative(self):
         return type(self)([k * c for k, c in enumerate(self.coeffs)][1:])
@@ -305,13 +282,6 @@ class _Polynomial:
         for k, c in enumerate(self.coeffs):
             out.append(c * Fraction(1, k + 1))
         return type(self)(out)
-
-    def evaluate(self, point):
-        point = self._coerce(point)
-        acc = self._field_zero()
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
 
     # -- field-coefficient division --------------------------------------------
 
@@ -334,9 +304,6 @@ class _Polynomial:
                 for j, b in enumerate(other.coeffs):
                     rem[k + j] = rem[k + j] - c * b
         return type(self)(quot), type(self)(rem[: dn - 1])
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -484,9 +451,6 @@ class GaussPoly(_Polynomial):
 
     def imag_part(self) -> RatPoly:
         return RatPoly([c.im for c in self.coeffs])
-
-    def is_real(self) -> bool:
-        return all(c.is_real for c in self.coeffs)
 
     def norm_squared(self) -> RatPoly:
         """The rational polynomial self * conj(self) = Re(self)^2 + Im(self)^2."""
@@ -649,9 +613,10 @@ def wronskian(z1, z2):
 
 
 class RationalFunction:
-    """Reduced quotient of two rational polynomials.
+    """Reduced quotient of two rational polynomials, as a value.
 
-    The denominator is primitive with positive leading coefficient and
+    It carries no arithmetic: each quotient is built from its own numerator
+    and denominator and then compared, evaluated or printed.  The denominator is primitive with positive leading coefficient and
     coprime to the numerator, so equal values compare equal structurally and
     constancy is a denominator-degree check rather than a sampling heuristic.
     """
@@ -674,10 +639,6 @@ class RationalFunction:
         self.den = primitive
 
     @classmethod
-    def from_poly(cls, p: RatPoly) -> "RationalFunction":
-        return cls(p, RatPoly.one())
-
-    @classmethod
     def constant(cls, value: RatLike) -> "RationalFunction":
         return cls(RatPoly([value]), RatPoly.one())
 
@@ -696,60 +657,10 @@ class RationalFunction:
             raise ZeroDivisionError(f"pole at t = {point}")
         return self.num.evaluate(point) / d
 
-    def __add__(self, other) -> "RationalFunction":
-        other = _as_rational_function(other)
-        if other is None:
-            return NotImplemented
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "RationalFunction":
-        other = _as_rational_function(other)
-        if other is None:
-            return NotImplemented
-        return RationalFunction(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
-
-    def __rsub__(self, other) -> "RationalFunction":
-        other = _as_rational_function(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
-
-    def __mul__(self, other) -> "RationalFunction":
-        other = _as_rational_function(other)
-        if other is None:
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalFunction":
-        other = _as_rational_function(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other) -> "RationalFunction":
-        other = _as_rational_function(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
     def __eq__(self, other) -> bool:
-        other = _as_rational_function(other)
-        if other is None:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
+        if isinstance(other, RationalFunction):
+            return self.num == other.num and self.den == other.den
+        return NotImplemented
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))
@@ -761,16 +672,6 @@ class RationalFunction:
         if self.den == RatPoly.one():
             return format_rat_poly(self.num)
         return f"({format_rat_poly(self.num)}) / ({format_rat_poly(self.den)})"
-
-
-def _as_rational_function(value) -> Optional[RationalFunction]:
-    if isinstance(value, RationalFunction):
-        return value
-    if isinstance(value, RatPoly):
-        return RationalFunction.from_poly(value)
-    if isinstance(value, (Fraction, int)):
-        return RationalFunction.constant(value)
-    return None
 
 
 # ---------------------------------------------------------------------------

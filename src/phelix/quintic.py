@@ -113,12 +113,6 @@ class ConstantZParameters(NamedTuple):
     m0_over_m1: Optional[Fraction] = None
     m2_over_m1: Optional[Fraction] = None
 
-    def predicted_dependence(self) -> Optional[Tuple[Fraction, Fraction]]:
-        """(c0, c2) = (2*m2/m1, 2*m0/m1) with omega = m0 + m1*t + m2*t^2."""
-        if self.m0_over_m1 is None or self.m2_over_m1 is None:
-            return None
-        return (2 * self.m2_over_m1, 2 * self.m0_over_m1)
-
 
 class ClassificationReport(NamedTuple):
     """Full two-route verdict for one quintic (or lower-degree) curve; analysis

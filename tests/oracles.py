@@ -1,0 +1,109 @@
+"""Independent oracles that only the tests use.
+
+Each one recomputes a value the library derives another way: the hodograph
+as the literal quaternion product A(t) * i * conj(A(t)), the speed as
+|A|^2 = |z1|^2 + |z2|^2, the Bernstein form evaluated directly, Horner's
+rule over any coefficient type, and sums of products of reduced quotients
+over one common denominator.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Optional, Tuple
+
+from phelix import (
+    HopfPair,
+    Quaternion,
+    QuaternionPolynomial,
+    RatPoly,
+    RationalFunction,
+    UnsupportedDegreeError,
+)
+from phelix.polynomials import as_fraction
+from phelix.quintic import ConstantZParameters
+
+QUATERNION_I = Quaternion(0, 1, 0, 0)
+
+
+def horner(p, t):
+    """p(t) by Horner's rule on p's own coefficients, term by term."""
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = c + acc * t
+    return acc
+
+
+def quaternion_conjugate(q: Quaternion) -> Quaternion:
+    return Quaternion(q.w, -q.x, -q.y, -q.z)
+
+
+def quaternion_norm_squared(q: Quaternion) -> Fraction:
+    return q.w**2 + q.x**2 + q.y**2 + q.z**2
+
+
+def quaternion_hodograph_product(a: QuaternionPolynomial) -> QuaternionPolynomial:
+    """The literal quaternion product A(t) * i * conj(A(t)).
+
+    Always a pure vector (zero scalar part); its i, j, k components equal the
+    hodograph components.
+    """
+    conj = QuaternionPolynomial([quaternion_conjugate(c) for c in a.coeffs])
+    return a * QuaternionPolynomial([QUATERNION_I]) * conj
+
+
+def sigma_poly(source) -> RatPoly:
+    """The exact speed polynomial u^2 + v^2 + p^2 + q^2 = |z1|^2 + |z2|^2."""
+    if isinstance(source, QuaternionPolynomial):
+        u, v, p, q = source.component_polys()
+        return u * u + v * v + p * p + q * q
+    if isinstance(source, HopfPair):
+        return source.z1.norm_squared() + source.z2.norm_squared()
+    raise TypeError(f"expected a quaternion polynomial or Hopf pair, got {source!r}")
+
+
+def bezier_evaluate(controls, t) -> Quaternion:
+    """Evaluate the Bernstein form directly (de Casteljau-free, exact)."""
+    controls = [Quaternion.coerce(c) for c in controls]
+    t = as_fraction(t)
+    s = 1 - t
+    n = len(controls) - 1
+    if n == 0:
+        return controls[0]
+    if n == 1:
+        return s * controls[0] + t * controls[1]
+    if n == 2:
+        return (s * s) * controls[0] + (2 * s * t) * controls[1] + (t * t) * controls[2]
+    raise UnsupportedDegreeError(f"expected 1 to 3 control quaternions, got {n + 1}")
+
+
+def predicted_dependence(params: ConstantZParameters) -> Optional[Tuple[Fraction, Fraction]]:
+    """(c0, c2) = (2*m2/m1, 2*m0/m1) with omega = m0 + m1*t + m2*t^2."""
+    if params.m0_over_m1 is None or params.m2_over_m1 is None:
+        return None
+    return (2 * params.m2_over_m1, 2 * params.m0_over_m1)
+
+
+def quotient_sum(terms) -> RationalFunction:
+    """The reduced quotient of sum(sign * x * y) over (sign, x, y) in terms.
+
+    x and y are RationalFunctions; the sum is taken over one common
+    denominator, the product of every term's denominators.
+    """
+    num, den = RatPoly(), RatPoly([1])
+    for sign, x, y in terms:
+        d = x.den * y.den
+        num = num * d + sign * (x.num * y.num * den)
+        den = den * d
+    return RationalFunction(num, den)
+
+
+def quotient_dot(u, v) -> RationalFunction:
+    return quotient_sum((1, x, y) for x, y in zip(u, v))
+
+
+def quotient_cross(u, v) -> Tuple[RationalFunction, RationalFunction, RationalFunction]:
+    return tuple(
+        quotient_sum(((1, u[i], v[j]), (-1, u[j], v[i])))
+        for i, j in ((1, 2), (2, 0), (0, 1))
+    )

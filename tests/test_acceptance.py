@@ -9,6 +9,7 @@ everywhere.
 from fractions import Fraction
 
 from conftest import rand_fraction, rand_quaternion, rand_rat_poly, seeded
+from oracles import quotient_cross, quotient_dot, sigma_poly
 from phelix import (
     GaussPoly,
     GaussianRational,
@@ -31,7 +32,6 @@ from phelix import (
     is_helix,
     lancret_ratio_squared,
     perfect_square_root,
-    sigma_poly,
     wronskian,
 )
 from phelix.quintic import DecompositionCase, QuinticKind, decompose_wronskian_quintic
@@ -206,7 +206,7 @@ def test_criterion_08_frenet_exactness():
         fixtures.append(hodograph_from_hopf(generate_monotone_quintic(rng, height=8)))
         fixtures.append(hodograph_from_quaternion(generate_general_quintic(rng, height=8)))
     one = RationalFunction(RatPoly([1]), RatPoly([1]))
-    dot = lambda x, y: x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+    dot = quotient_dot
     for h in fixtures:
         assert is_2ph(h) is not None
         frame = frenet_frame(analyze(h))
@@ -214,12 +214,7 @@ def test_criterion_08_frenet_exactness():
         assert dot(t, t) == one
         assert dot(t, b).is_zero
         assert dot(b, b) == RationalFunction.constant(frame.frame_scale)
-        cross = (
-            b[1] * t[2] - b[2] * t[1],
-            b[2] * t[0] - b[0] * t[2],
-            b[0] * t[1] - b[1] * t[0],
-        )
-        assert n == cross
+        assert n == quotient_cross(b, t)
     _report(8, f"{len(fixtures)} 2-PH curves: frame identities hold exactly")
 
 

@@ -15,6 +15,7 @@ from conftest import (
     rationals,
     seeded,
 )
+from oracles import quotient_cross, quotient_dot, sigma_poly
 from phelix import (
     DegenerateInputError,
     HelixKind,
@@ -39,7 +40,6 @@ from phelix import (
     is_helix,
     is_ph,
     lancret_ratio_squared,
-    sigma_poly,
     wronskian,
 )
 from phelix.quintic import generate_general_quintic, generate_monotone_quintic
@@ -132,18 +132,13 @@ class TestFrenetFrame:
     def _assert_exact_identities(self, h):
         frame = frenet_frame(analyze(h))
         t, b, n = frame.tangent, frame.binormal, frame.normal
-        dot = lambda u, v: u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+        dot = quotient_dot
         one = RationalFunction(RatPoly([1]), RatPoly([1]))
         assert dot(t, t) == one
         assert dot(t, b).is_zero
         assert dot(b, b) == RationalFunction.constant(frame.frame_scale)
         assert dot(n, n) == RationalFunction.constant(frame.frame_scale)
-        expected_normal = (
-            b[1] * t[2] - b[2] * t[1],
-            b[2] * t[0] - b[0] * t[2],
-            b[0] * t[1] - b[1] * t[0],
-        )
-        assert n == expected_normal
+        assert n == quotient_cross(b, t)
 
     def test_identities_on_reference_curves(self):
         for name in ("example1", "example2", "counterexample"):

@@ -14,7 +14,7 @@ import phelix.quintic as quintic
 import phelix.references as references
 from phelix import InternalInconsistencyError, RatPoly, classify_quintic, perfect_square_root
 from phelix.analysis import HelixKind, HelixVerdict
-from phelix.cli import MAX_COUNT, MAX_PRECISION, MAX_SAMPLES, main
+from phelix.cli import MAX_COUNT, MAX_HEIGHT, MAX_PRECISION, MAX_SAMPLES, main
 from phelix.references import reference_curve
 from phelix.curvespec import (
     MAX_COEFF_BITS,
@@ -22,6 +22,7 @@ from phelix.curvespec import (
     MAX_EXPONENT,
     CurveSpec,
     dump_spec,
+    load_spec,
     parse_spec,
     spec_to_doc,
 )
@@ -145,6 +146,33 @@ class TestClassify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "origin is not accepted" in captured.err
+
+    @pytest.mark.parametrize("command", ["classify", "sample"])
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            (
+                {
+                    "form": "hodograph",
+                    "coefficients": {"dx": ["1"], "dy": ["0", "1"], "dz": []},
+                    "orign": ["1", "2", "3"],
+                },
+                "orign",
+            ),
+            (
+                {
+                    "form": "hodograph",
+                    "coefficients": {"dx": ["1"], "dy": ["0", "1"], "dz": [], "dw": ["5"]},
+                },
+                "dw",
+            ),
+        ],
+    )
+    def test_unknown_key_exits_cleanly(self, command, doc, key, tmp_path, capsys):
+        assert main([command, write_doc(tmp_path, doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unknown key '{key}'" in captured.err
 
     def test_float_coefficient_rejected(self, tmp_path, capsys):
         doc = {"form": "hodograph", "coefficients": {"dx": [0.5], "dy": [], "dz": []}}
@@ -541,6 +569,24 @@ class TestGenerate:
     def test_height_below_one(self, height, capsys):
         assert main(["generate", "--family", "general", "--height", height]) == 1
         assert "--height must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", ["monotone", "general"])
+    def test_specs_at_the_height_bound_reload(self, family, capsys):
+        # the bound's derivation: a monotone coefficient is at most 4*H^6
+        assert 4 * MAX_HEIGHT**6 < 2**MAX_COEFF_BITS <= 4 * (MAX_HEIGHT + 1) ** 6
+        for seed in range(4):
+            argv = ["generate", "--family", family, "--count", "3", "--seed", str(seed),
+                    "--height", str(MAX_HEIGHT), "--format", "json"]
+            assert main(argv) == 0
+            for entry in json.loads(capsys.readouterr().out)["curves"]:
+                assert load_spec(json.dumps(entry["spec"])) is not None
+
+    def test_height_over_the_limit(self, capsys):
+        argv = ["generate", "--family", "monotone", "--height", str(MAX_HEIGHT + 1)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"at most {MAX_HEIGHT}" in captured.err
 
 
 class TestUsage:

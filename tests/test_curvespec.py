@@ -134,6 +134,26 @@ class TestParseSpec:
         with pytest.raises(SpecParseError):
             parse_spec(doc)
 
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            (dict(QUAT_DOC, orign=["1", "2", "3"]), "orign"),
+            (dict(HOPF_DOC, coefficients=dict(HOPF_DOC["coefficients"], z3=[])), "z3"),
+            (
+                {
+                    "form": "hodograph",
+                    "coefficients": {"dx": ["1"], "dy": ["0", "1"], "dz": [], "dw": ["5"]},
+                },
+                "dw",
+            ),
+            (dict(CURVE_DOC, coefficients=dict(CURVE_DOC["coefficients"], dx=["1"])), "dx"),
+        ],
+    )
+    def test_unknown_key_through_load_spec(self, doc, key):
+        # a misspelt key would otherwise leave its polynomial or origin at zero
+        with pytest.raises(SpecParseError, match=f"unknown key '{key}'"):
+            load_spec(json.dumps(doc))
+
     def test_hopf_missing_key(self):
         with pytest.raises(SpecParseError):
             parse_spec({"form": "hopf", "coefficients": {"z1": [["1", "0"]]}})
