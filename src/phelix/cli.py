@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -79,6 +80,15 @@ MAX_HEIGHT = 31
 class _Parser(argparse.ArgumentParser):
     """argparse maps usage errors to exit 2 by default; this tool reserves 2
     for degenerate-input verdicts, so usage errors become exit 1."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads an argument that starts with "-" as a value only if
+        # it is an integer or a plain decimal, so "--from -1/2" or
+        # "--from -1e30" lost its value.  Every negative rational that
+        # parse_rational accepts is "-" and then a digit or "." and a digit.
+        # Subparsers are built by their parent's class, so they get it too.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -332,10 +342,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser main() builds on its first call and reuses on every later call
+# in the process: setting up the five subcommands costs more than a tenth of
+# an in-process ``classify``.  Nothing is built at import.
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -18,7 +18,9 @@ Forms and their coefficient layouts (all polynomial arrays ascending):
 
 A spec has no other keys: any key besides ``form``, ``coefficients`` and
 ``origin``, or besides its form's coefficient names, is a parse error, so a
-misspelt key cannot silently leave a polynomial at zero.
+misspelt key cannot silently leave a polynomial at zero.  ``load_spec`` also
+rejects a key repeated in one JSON object, at any depth, where ``json``
+would keep the last value.
 """
 
 from __future__ import annotations
@@ -322,9 +324,21 @@ def spec_to_doc(spec: CurveSpec) -> dict:
     return doc
 
 
+def _unique_keys(pairs) -> dict:
+    """json's object hook: a repeated key is a parse error, not last-wins."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SpecParseError(f"repeated key {key!r} in a JSON object")
+            seen.add(key)
+    return doc
+
+
 def load_spec(text: str) -> CurveSpec:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as exc:
         # JSONDecodeError is a ValueError, and so is the refusal to convert
         # an integer longer than sys.get_int_max_str_digits() digits

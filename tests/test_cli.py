@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import phelix.analysis as analysis
+import phelix.cli
 import phelix.quintic as quintic
 import phelix.references as references
 from phelix import InternalInconsistencyError, RatPoly, classify_quintic, perfect_square_root
@@ -173,6 +174,18 @@ class TestClassify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"unknown key '{key}'" in captured.err
+
+    @pytest.mark.parametrize("command", ["classify", "sample"])
+    def test_repeated_key_exits_cleanly(self, command, tmp_path, capsys):
+        path = tmp_path / "repeated.json"
+        path.write_text(
+            '{"form": "hodograph", "coefficients": '
+            '{"dx": ["1"], "dy": ["0", "1"], "dz": [], "dx": ["7"]}}'
+        )
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "repeated key 'dx'" in captured.err
 
     def test_float_coefficient_rejected(self, tmp_path, capsys):
         doc = {"form": "hodograph", "coefficients": {"dx": [0.5], "dy": [], "dz": []}}
@@ -451,6 +464,29 @@ class TestSample:
         x = float(last.split(",")[1])
         assert x == pytest.approx(-184 / 105, rel=1e-11)
 
+    @pytest.mark.parametrize(
+        "start, first",
+        [("-1/2", "-0.5"), ("-3/2", "-1.5"), ("-1e3", "-1000"), ("-75e-2", "-0.75"),
+         ("-.5", "-0.5"), ("-1", "-1")],
+    )
+    def test_negative_rational_start(self, start, first, tmp_path, capsys):
+        # argparse took "-1/2" and "-1e3" for options and left --from without
+        # a value; every negative rational parse_rational accepts must pass
+        path = write_doc(tmp_path, DEGREE7_DOC)
+        assert main(["sample", path, "--from", start, "--to", "-1/4", "--n", "2"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[1].split(",")[0] == first
+        assert rows[2].split(",")[0] == "-0.25"
+
+    def test_negative_rational_over_the_bit_limit_reaches_the_spec_check(
+        self, tmp_path, capsys
+    ):
+        path = write_doc(tmp_path, DEGREE7_DOC)
+        assert main(["sample", path, "--from", "-1e30", "--n", "2"]) == 1
+        err = capsys.readouterr().err
+        assert f"exceeds the limit of {MAX_COEFF_BITS} bits" in err
+        assert "expected one argument" not in err
+
     def test_invalid_range(self, tmp_path, capsys):
         path = write_doc(tmp_path, DEGREE7_DOC)
         assert main(["sample", path, "--from", "1", "--to", "0"]) == 1
@@ -643,10 +679,19 @@ class TestUsage:
     def test_import_path_stays_light(self):
         # -S keeps the interpreter's site hooks, which may import anything,
         # out of the check; phelix.references is needed by verify alone, and
-        # pathlib brings fnmatch, urllib.parse and ipaddress for nothing
+        # pathlib brings fnmatch, urllib.parse and ipaddress for nothing;
+        # main() builds its parser on the first call, so the import builds none
         code = (
-            "import sys, phelix.cli; "
-            "print(sorted({'dataclasses', 'pathlib', 'phelix.references'} & set(sys.modules)))"
+            "import argparse, sys\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    built.append(self)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import phelix.cli\n"
+            "print(sorted({'dataclasses', 'pathlib', 'phelix.references'} & set(sys.modules)),"
+            " len(built))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-S", "-c", code],
@@ -655,4 +700,57 @@ class TestUsage:
             env={**os.environ, "PYTHONPATH": str(SRC)},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.strip() == "[] 0"
+
+
+class TestParserReuse:
+    """main() builds its parser once per process; back-to-back calls, errors
+    among them, give what a fresh `python -m phelix` gives for each."""
+
+    def test_back_to_back_calls_match_fresh_processes(self, tmp_path, monkeypatch, capsys):
+        # usage messages wrap at the terminal width, so pin it on both sides
+        monkeypatch.setenv("COLUMNS", "80")
+        refs = {}
+        for name in references.REFERENCE_NAMES:
+            refs[name] = str(tmp_path / f"{name}.json")
+            Path(refs[name]).write_text(dump_spec(reference_curve(name).spec))
+        counterexample = refs["counterexample"]
+        calls = [
+            *(["classify", path, "--format", "json"] for path in refs.values()),
+            *(["classify", path] for path in refs.values()),
+            ["analyze", refs["example1"]],
+            ["sample", counterexample, "--n", "3"],
+            ["sample", counterexample, "--from", "-1/2", "--n", "3"],
+            ["sample", counterexample, "--n", "1"],
+            ["frobnicate"],
+            ["classify", str(tmp_path / "missing.json")],
+            ["classify", write_doc(tmp_path, LINE_DOC, "line.json")],
+            ["verify", "--example", "example1"],
+            ["generate", "--family", "monotone", "--count", "2"],
+            # the first call again, after every kind of exit
+            ["classify", refs["example1"], "--format", "json"],
+        ]
+        # start from an unbuilt parser, as a new process does
+        monkeypatch.setattr(phelix.cli, "_parser", None, raising=False)
+        in_process = []
+        for argv in calls:
+            code = main(argv)
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        assert {code for code, _, _ in in_process} == {0, 1, 2}
+
+        env = {**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"}
+        for argv, got in zip(calls, in_process):
+            proc = subprocess.run(
+                [sys.executable, "-m", "phelix", *argv], capture_output=True, text=True, env=env
+            )
+            assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+
+    def test_parser_is_built_once(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(phelix.cli, "_parser", None)
+        builds = _count_calls(monkeypatch, phelix.cli, "build_parser")
+        path = write_doc(tmp_path, EXAMPLE1_DOC)
+        for argv in (["classify", path], ["frobnicate"], ["sample", path, "--n", "2"]):
+            main(argv)
+        capsys.readouterr()
+        assert len(builds) == 1

@@ -154,6 +154,25 @@ class TestParseSpec:
         with pytest.raises(SpecParseError, match=f"unknown key '{key}'"):
             load_spec(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            # the same key twice in coefficients: json alone keeps dx = 7
+            (
+                '{"form": "hodograph", "coefficients": '
+                '{"dx": ["1"], "dy": ["0", "1"], "dz": [], "dx": ["7"]}}',
+                "dx",
+            ),
+            ('{"form": "hopf", "form": "quaternion", "coefficients": [["1", "0", "0", "0"]]}',
+             "form"),
+            # an object inside an array, deeper than any spec key
+            ('{"form": "quaternion", "coefficients": [{"w": "1", "w": "2"}]}', "w"),
+        ],
+    )
+    def test_repeated_key_through_load_spec(self, text, key):
+        with pytest.raises(SpecParseError, match=f"repeated key '{key}'"):
+            load_spec(text)
+
     def test_hopf_missing_key(self):
         with pytest.raises(SpecParseError):
             parse_spec({"form": "hopf", "coefficients": {"z1": [["1", "0"]]}})
