@@ -16,10 +16,10 @@ form is accepted even when that property fails, and analysis detects it.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import DegenerateInputError, UnsupportedDegreeError
-from .polynomials import GaussPoly, RatLike, RatPoly, _Polynomial, as_fraction
+from .polynomials import GaussPoly, RatLike, RatPoly, as_fraction
 
 Point = Tuple[Fraction, Fraction, Fraction]
 
@@ -109,58 +109,65 @@ class Quaternion:
         return "".join(parts) if parts else "0"
 
 
-class QuaternionPolynomial(_Polynomial):
-    """Polynomial with quaternion coefficients in the power basis.
+class QuaternionPolynomial:
+    """Polynomial A(t) = u + i v + j p + k q with quaternion coefficients.
 
-    Multiplication preserves the (noncommutative) coefficient order; only a
-    restricted set of the shared polynomial operations makes sense here and
-    nothing below calls the field-division ones.
+    It holds the four component RatPolys; Quaternion coefficients exist
+    only where ``coeffs`` or ``coefficient`` hands them out.  It carries no
+    arithmetic: the hodograph is read off the components.
     """
 
-    __slots__ = ()
+    __slots__ = ("u", "v", "p", "q")
 
-    _coerce = staticmethod(Quaternion.coerce)
-
-    @classmethod
-    def _field_zero(cls):
-        return Quaternion()
-
-    @classmethod
-    def _field_one(cls):
-        return Quaternion(1)
+    def __init__(self, coeffs: Iterable = ()):
+        cs = [Quaternion.coerce(c).components() for c in coeffs]
+        self.u, self.v, self.p, self.q = (RatPoly([c[i] for c in cs]) for i in range(4))
 
     @classmethod
     def from_component_polys(
         cls, u: RatPoly, v: RatPoly, p: RatPoly, q: RatPoly
     ) -> "QuaternionPolynomial":
-        n = max(len(u.coeffs), len(v.coeffs), len(p.coeffs), len(q.coeffs))
-        return cls(
-            [
-                Quaternion(
-                    u.coefficient(k),
-                    v.coefficient(k),
-                    p.coefficient(k),
-                    q.coefficient(k),
-                )
-                for k in range(n)
-            ]
-        )
+        a = cls.__new__(cls)
+        a.u, a.v, a.p, a.q = u, v, p, q
+        return a
 
     def component_polys(self) -> Tuple[RatPoly, RatPoly, RatPoly, RatPoly]:
         """The four rational polynomials (u, v, p, q) = (w, i, j, k) parts."""
-        return (
-            RatPoly([c.w for c in self.coeffs]),
-            RatPoly([c.x for c in self.coeffs]),
-            RatPoly([c.y for c in self.coeffs]),
-            RatPoly([c.z for c in self.coeffs]),
-        )
+        return (self.u, self.v, self.p, self.q)
+
+    @property
+    def is_zero(self) -> bool:
+        return self.degree is None
+
+    @property
+    def degree(self) -> Optional[int]:
+        """Degree, or None for the zero polynomial."""
+        return max((c.degree for c in self.component_polys() if c.coeffs), default=None)
+
+    @property
+    def coeffs(self) -> Tuple[Quaternion, ...]:
+        n = max(len(c.coeffs) for c in self.component_polys())
+        return tuple(self.coefficient(k) for k in range(n))
+
+    def coefficient(self, k: int) -> Quaternion:
+        return Quaternion(*(c.coefficient(k) for c in self.component_polys()))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, QuaternionPolynomial):
+            return self.component_polys() == other.component_polys()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.component_polys())
+
+    def __repr__(self) -> str:
+        return f"QuaternionPolynomial({list(self.coeffs)!r})"
 
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
         parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
+        for k, c in reversed(list(enumerate(self.coeffs))):
             if not c:
                 continue
             power = "" if k == 0 else ("t" if k == 1 else f"t^{k}")
@@ -278,27 +285,26 @@ def hodograph_from_quaternion(a: QuaternionPolynomial) -> Hodograph:
 
 def hopf_from_quaternion(a: QuaternionPolynomial) -> HopfPair:
     """Reassemble (z1, z2) = (u + i v, q + i p).  Lossless."""
-    u, v, p, q = a.component_polys()
-    return HopfPair(GaussPoly.from_parts(u, v), GaussPoly.from_parts(q, p))
+    return HopfPair(GaussPoly.from_parts(a.u, a.v), GaussPoly.from_parts(a.q, a.p))
 
 
 def quaternion_from_hopf(pair: HopfPair) -> QuaternionPolynomial:
     """Inverse of hopf_from_quaternion."""
     return QuaternionPolynomial.from_component_polys(
-        pair.z1.real_part(),
-        pair.z1.imag_part(),
-        pair.z2.imag_part(),
-        pair.z2.real_part(),
+        pair.z1.re, pair.z1.im, pair.z2.im, pair.z2.re
     )
 
 
 def hodograph_from_hopf(pair: HopfPair) -> Hodograph:
-    """Hopf map (|z1|^2 - |z2|^2, 2 z1 conj(z2)) with (y', z') = (Re, Im)."""
-    w = pair.z1 * pair.z2.conjugate()
+    """Hopf map (|z1|^2 - |z2|^2, 2 z1 conj(z2)) with (y', z') = (Re, Im).
+
+    With z1 = a + i b and z2 = c + i d, z1 conj(z2) = (ac + bd) + i (bc - ad).
+    """
+    a, b, c, d = pair.z1.re, pair.z1.im, pair.z2.re, pair.z2.im
     return Hodograph(
-        pair.z1.norm_squared() - pair.z2.norm_squared(),
-        2 * w.real_part(),
-        2 * w.imag_part(),
+        a * a + b * b - c * c - d * d,
+        2 * (a * c + b * d),
+        2 * (b * c - a * d),
     )
 
 

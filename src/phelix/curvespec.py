@@ -82,7 +82,12 @@ MAX_COEFF_BITS = 32
 # takes 0.1%, and a degree-12 hodograph never reaches the quintic casework.
 MAX_DEGREE = 12
 
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
+# The rational syntax of a spec string: an optional sign, then digits/digits
+# or a decimal with an optional exponent, in ASCII digits only.  Fraction(str)
+# alone also takes non-ASCII digits, and "1_0" on Python 3.11 and later only.
+_RATIONAL = re.compile(
+    r"[-+]?(?:[0-9]+/[0-9]+|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE](?P<exp>[-+]?[0-9]+))?)"
+)
 
 Payload = Union[
     QuaternionPolynomial, Tuple[Quaternion, ...], HopfPair, Hodograph, PolynomialCurve
@@ -147,9 +152,12 @@ def parse_rational(value) -> Fraction:
         )
     if isinstance(value, str):
         text = value.strip()
+        match = _RATIONAL.fullmatch(text)
         try:
-            exponent = _EXPONENT.search(text)
-            if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
+            if match is None:
+                raise ValueError("expected a form such as -3/7 or 2.5e-3")
+            exponent = match.group("exp")
+            if exponent and abs(int(exponent)) > MAX_EXPONENT:
                 raise SpecParseError(
                     f"exponent in {value!r} exceeds the limit of {MAX_EXPONENT}"
                 )

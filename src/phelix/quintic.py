@@ -187,14 +187,17 @@ def _checked(
 
 
 def _real_proportional_split(w: GaussPoly) -> Optional[Tuple[RatPoly, GaussPoly]]:
-    """W as (complex constant) * (real polynomial), canonicalized."""
+    """W as (complex constant) * (real polynomial), canonicalized.
+
+    W / lead is real exactly when lead.re * W.im = lead.im * W.re.  It is
+    then the monic real polynomial omega / omega's leading coefficient, so
+    the constant is lead / omega's leading coefficient.
+    """
     lead = w.leading_coefficient
-    ratios = [c / lead for c in w.coeffs]
-    if not all(r.is_real for r in ratios):
+    if lead.re * w.im != lead.im * w.re:
         return None
-    content, omega = RatPoly([r.re for r in ratios]).primitive_positive()
-    z_squared = GaussPoly([lead * content])
-    return omega, z_squared
+    _, omega = (w.re if lead.re else w.im).primitive_positive()
+    return omega, GaussPoly([lead / omega.leading_coefficient])
 
 
 def _constant_square_split(w: GaussPoly) -> Optional[Tuple[RatPoly, GaussPoly]]:

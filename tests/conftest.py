@@ -79,10 +79,11 @@ def sylvester_resultant(p, q):
     rows = []
     pc = list(reversed(p.coeffs))
     qc = list(reversed(q.coeffs))
+    zero = pc[0] - pc[0]
     for i in range(n):
-        rows.append([p._field_zero()] * i + pc + [p._field_zero()] * (size - m - 1 - i))
+        rows.append([zero] * i + pc + [zero] * (size - m - 1 - i))
     for i in range(m):
-        rows.append([p._field_zero()] * i + qc + [p._field_zero()] * (size - n - 1 - i))
+        rows.append([zero] * i + qc + [zero] * (size - n - 1 - i))
     return _determinant(rows)
 
 

@@ -187,6 +187,14 @@ class TestClassify:
         assert captured.out == ""
         assert "repeated key 'dx'" in captured.err
 
+    @pytest.mark.parametrize("command", ["classify", "sample"])
+    def test_underscore_rational_exits_cleanly(self, command, tmp_path, capsys):
+        doc = {"form": "hodograph", "coefficients": {"dx": ["1_0"], "dy": ["0", "1"], "dz": []}}
+        assert main([command, write_doc(tmp_path, doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "malformed rational '1_0'" in captured.err
+
     def test_float_coefficient_rejected(self, tmp_path, capsys):
         doc = {"form": "hodograph", "coefficients": {"dx": [0.5], "dy": [], "dz": []}}
         assert main(["classify", write_doc(tmp_path, doc)]) == 1

@@ -52,6 +52,10 @@ class TestParseRational:
         with pytest.raises(SpecParseError):
             parse_rational("1/0")
 
+    def test_ascii_forms_read_as_fraction_reads_them(self):
+        for text in ("+3", "-3/7", ".5", "5.", "-2.5e-3", "1E+9", " 7 "):
+            assert parse_rational(text) == Fraction(text)
+
     def test_exponent_limit(self):
         assert parse_rational("1e9") == 10**9
         assert parse_rational("2.5E-3") == Fraction(1, 400)
@@ -128,6 +132,16 @@ class TestParseSpec:
         assert load_spec(json.dumps(doc(f"1/{2**MAX_COEFF_BITS - 1}")))
         with pytest.raises(SpecParseError, match=f"{MAX_COEFF_BITS + 1}-bit"):
             load_spec(json.dumps(doc(f"1/{2**MAX_COEFF_BITS}")))
+
+    # Fraction(str) reads "1_0" as 10 on Python 3.11 and later but not on 3.10,
+    # and reads non-ASCII digits everywhere; a spec parses the same on each
+    @pytest.mark.parametrize(
+        "text", ["1_0", "1_000/3", "2.5_0", "1e1_0", "\u0661", "1/\u0662", "\uff11"]
+    )
+    def test_underscores_and_non_ascii_digits_rejected(self, text):
+        doc = {"form": "hodograph", "coefficients": {"dx": [text], "dy": ["0", "1"], "dz": []}}
+        with pytest.raises(SpecParseError, match="malformed rational"):
+            load_spec(json.dumps(doc))
 
     def test_zero_polynomial_rejected(self):
         doc = {"form": "quaternion", "coefficients": [["0", "0", "0", "0"]]}
