@@ -18,8 +18,10 @@ division.  On a PH curve the cross norm factors through the speed: for a
 Hopf pair (z1, z2) with Wronskian W = z1'*z2 - z1*z2', rho^2 = 4 sigma^2 |W|^2.
 So the test divides, q, r = divmod(rho^2, sigma^2), and decides
 det^2 = lambda q^3: degree 12 on a quintic instead of the degree-36
-det^2 sigma^6 = lambda rho^6.  When sigma^2 divides rho^2 the two identities
-are equivalent.  When it does not, the ratio is not constant: were
+det^2 sigma^6 = lambda rho^6, and cheaper than evaluating the invariants at
+a few points.  Only the identity at t = 0, on the constant coefficients,
+runs before it.  When sigma^2 divides rho^2 the two identities are
+equivalent.  When it does not, the ratio is not constant: were
 det^2 sigma^6 = lambda rho^6 to hold with lambda and det nonzero, then
 3 v_p(rho^2) = 2 v_p(det) + 3 v_p(sigma^2) >= 3 v_p(sigma^2) for every
 irreducible factor p, so sigma^2 would divide rho^2.  The test reads only
@@ -175,14 +177,14 @@ def _constant_ratio_value(inv: Invariants) -> Optional[Fraction]:
     """The constant value of det^2 (s2)^3 / (rho^2)^3, or None.
 
     Constancy means det^2 * s2^3 = lambda * (rho^2)^3 as polynomials.  The
-    candidate lambda is pinned by degrees and leading coefficients, and cheap
-    exact point evaluations reject non-constant inputs without ever forming
-    the large products.  A survivor is settled by one exact division,
-    q, r = divmod(rho^2, s2).  With r = 0 the identity is det^2 = lambda q^3,
-    of degree 12 on a quintic.  With r != 0 the ratio is not constant: lambda
-    and det are nonzero here, so the identity would give
-    3 v_p(rho^2) = 2 v_p(det) + 3 v_p(s2) >= 3 v_p(s2) for every irreducible
-    factor p, and s2 would divide rho^2.
+    candidate lambda is pinned by degrees and leading coefficients, and the
+    identity at t = 0, read off the constant coefficients, rejects most
+    non-constant inputs before any product is formed.  A survivor is settled
+    by one exact division, q, r = divmod(rho^2, s2).  With r = 0 the
+    identity is det^2 = lambda q^3, of degree 12 on a quintic.  With r != 0
+    the ratio is not constant: lambda and det are nonzero here, so the
+    identity would give 3 v_p(rho^2) = 2 v_p(det) + 3 v_p(s2) >= 3 v_p(s2)
+    for every irreducible factor p, and s2 would divide rho^2.
     """
     det, s2, rho_squared = inv.det, inv.sigma_squared, inv.rho_squared
     if 2 * det.degree + 3 * s2.degree != 3 * rho_squared.degree:
@@ -192,12 +194,9 @@ def _constant_ratio_value(inv: Invariants) -> Optional[Fraction]:
         * s2.leading_coefficient**3
         / rho_squared.leading_coefficient**3
     )
-    for t in _scan_points(8):
-        dv = det.evaluate(t)
-        sv = s2.evaluate(t)
-        rv = rho_squared.evaluate(t)
-        if dv * dv * sv**3 != lam * rv**3:
-            return None
+    d0, s0, r0 = det.coefficient(0), s2.coefficient(0), rho_squared.coefficient(0)
+    if d0 * d0 * s0**3 != lam * r0**3:
+        return None
     q, r = divmod(rho_squared, s2)
     return lam if r.is_zero and det * det == lam * q**3 else None
 

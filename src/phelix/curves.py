@@ -56,7 +56,10 @@ class Quaternion:
         return not self
 
     def __add__(self, other) -> "Quaternion":
-        other = Quaternion.coerce(other)
+        try:
+            other = Quaternion.coerce(other)
+        except TypeError:
+            return NotImplemented
         return Quaternion(
             self.w + other.w, self.x + other.x, self.y + other.y, self.z + other.z
         )
@@ -64,13 +67,19 @@ class Quaternion:
     __radd__ = __add__
 
     def __sub__(self, other) -> "Quaternion":
-        other = Quaternion.coerce(other)
+        try:
+            other = Quaternion.coerce(other)
+        except TypeError:
+            return NotImplemented
         return Quaternion(
             self.w - other.w, self.x - other.x, self.y - other.y, self.z - other.z
         )
 
     def __mul__(self, other) -> "Quaternion":
-        other = Quaternion.coerce(other)
+        try:
+            other = Quaternion.coerce(other)
+        except TypeError:
+            return NotImplemented
         a, b, c, d = self.components()
         e, f, g, h = other.components()
         return Quaternion(
@@ -81,7 +90,11 @@ class Quaternion:
         )
 
     def __rmul__(self, other) -> "Quaternion":
-        return Quaternion.coerce(other) * self
+        try:
+            other = Quaternion.coerce(other)
+        except TypeError:
+            return NotImplemented
+        return other * self
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (Quaternion, Fraction, int)):

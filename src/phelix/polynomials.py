@@ -94,20 +94,29 @@ class GaussianRational:
         return self.re * self.re + self.im * self.im
 
     def __add__(self, other) -> "GaussianRational":
-        other = GaussianRational.coerce(other)
+        try:
+            other = GaussianRational.coerce(other)
+        except TypeError:
+            return NotImplemented
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "GaussianRational":
-        other = GaussianRational.coerce(other)
+        try:
+            other = GaussianRational.coerce(other)
+        except TypeError:
+            return NotImplemented
         return GaussianRational(self.re - other.re, self.im - other.im)
 
     def __neg__(self) -> "GaussianRational":
         return GaussianRational(-self.re, -self.im)
 
     def __mul__(self, other) -> "GaussianRational":
-        other = GaussianRational.coerce(other)
+        try:
+            other = GaussianRational.coerce(other)
+        except TypeError:
+            return NotImplemented
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -116,7 +125,10 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "GaussianRational":
-        other = GaussianRational.coerce(other)
+        try:
+            other = GaussianRational.coerce(other)
+        except TypeError:
+            return NotImplemented
         n = other.norm_squared()
         if not n:
             raise ZeroDivisionError("division by zero Gaussian rational")

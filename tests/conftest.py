@@ -8,7 +8,14 @@ from fractions import Fraction
 import hypothesis.strategies as st
 from hypothesis import settings
 
-from phelix import GaussPoly, GaussianRational, Quaternion, QuaternionPolynomial, RatPoly
+from phelix import (
+    GaussPoly,
+    GaussianRational,
+    Hodograph,
+    Quaternion,
+    QuaternionPolynomial,
+    RatPoly,
+)
 
 settings.register_profile("fast", deadline=None, max_examples=60)
 settings.load_profile("fast")
@@ -55,6 +62,14 @@ def rand_quaternion_quadratic(rng: random.Random, height: int = 9) -> Quaternion
         a = QuaternionPolynomial([rand_quaternion(rng, height) for _ in range(3)])
         if a.degree == 2:
             return a
+
+
+def times_t(h: Hodograph) -> Hodograph:
+    """t * h.  It scales sigma^2 by t^2, rho^2 by t^4 and det by t^3, so
+    (tau/kappa)^2, the helix kind, slope and axis stay as they are while
+    every constant term of the invariants vanishes."""
+    t = RatPoly([0, 1])
+    return Hodograph(*(t * p for p in h.vector()))
 
 
 def compose_affine(p: RatPoly, a, b) -> RatPoly:

@@ -62,6 +62,16 @@ class TestQuaternion:
         q = Quaternion(1, -2, 3, Fraction(1, 2))
         assert q * quaternion_conjugate(q) == Quaternion(quaternion_norm_squared(q))
 
+    def test_polynomial_operand_is_a_plain_type_error(self):
+        # no quaternion polynomial arithmetic exists, so both orders must end
+        # in Python's own TypeError, not a failed coercion
+        a = Quaternion(1, 2, 3, 4)
+        poly = QuaternionPolynomial([a, Quaternion(0, 1)])
+        for op in (lambda: a * poly, lambda: poly * a, lambda: a + poly, lambda: a - poly):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op()
+        assert 2 * a == a * 2 == a + a
+
     @given(quaternions, quaternions)
     def test_norm_multiplicative(self, a, b):
         norm = quaternion_norm_squared

@@ -1,19 +1,24 @@
 """Differential test of the constant-slope verdict against sympy.
 
 is_helix decides constancy of (tau/kappa)^2 = det^2 sigma^6 / rho^6 by
-degrees, trial points and one exact polynomial identity.  sympy decides
-the same question by building the invariants itself and cancelling the
-quotient: the verdict is helix or planar exactly when the cancelled
-quotient is a constant.  On the Hopf map of a pair, sigma^2 divides rho^2,
-so is_helix decides constancy on det^2 = lambda q^3 for q = rho^2 / sigma^2;
-the oracle still cancels det^2 sigma^6 / rho^6 whole.
+degrees, the identity at t = 0 on the constant coefficients, and one exact
+division q, r = divmod(rho^2, sigma^2) followed by det^2 = lambda q^3.
+sympy decides the same question by building the invariants itself and
+cancelling the quotient: the verdict is helix or planar exactly when the
+cancelled quotient is a constant.  The oracle always cancels
+det^2 sigma^6 / rho^6 whole.
+
+Hodographs go up to degree 7.  A hodograph times t keeps (tau/kappa)^2 but
+has no constant terms, so the check at t = 0 passes and every such draw
+that survives the degree check is decided by the division: on the Hopf
+map of a pair with r = 0, on almost every other hodograph with r != 0.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from conftest import gauss_rationals, quaternions, rationals
+from conftest import gauss_rationals, quaternions, rationals, times_t
 from phelix import (
     GaussPoly,
     HelixKind,
@@ -24,6 +29,7 @@ from phelix import (
     hodograph_from_hopf,
     hodograph_from_quaternion,
     hopf_from_quaternion,
+    invariants,
     is_helix,
 )
 
@@ -33,25 +39,44 @@ T = sympy.Symbol("t")
 
 
 def polys(min_size):
-    return st.lists(rationals, min_size=min_size, max_size=4).map(RatPoly)
+    return st.lists(rationals, min_size=min_size, max_size=8).map(RatPoly)
 
 
-# degree at most 3 in each component; the minimum sizes keep hypothesis from
+def exact_degree(degree):
+    return st.builds(
+        lambda low, top: RatPoly(low + [top]),
+        st.lists(rationals, min_size=degree, max_size=degree),
+        rationals.filter(bool),
+    )
+
+
+# degree at most 7 in each component; the minimum sizes keep hypothesis from
 # drawing mostly constant (straight-line) hodographs
 arbitrary = st.tuples(polys(3), polys(2), polys(0))
 planar = st.tuples(polys(2), polys(1), st.just(RatPoly()))
-# every PH cubic (a linear quaternion polynomial) is a helix
-ph_cubics = (
-    st.lists(quaternions, min_size=2, max_size=2)
+# PH hodographs of degree 2 to 6, from quaternion polynomials of degree 1 to
+# 3; every PH cubic curve (a linear quaternion polynomial) is a helix
+ph_hodographs = (
+    st.lists(quaternions, min_size=2, max_size=4)
     .map(QuaternionPolynomial)
     .filter(lambda a: not a.is_zero)
     .map(lambda a: hodograph_from_quaternion(a).vector())
 )
-hodographs = (
-    st.one_of(arbitrary, planar, ph_cubics)
-    .filter(lambda v: any(not p.is_zero for p in v))
-    .map(lambda v: Hodograph(*v))
+# degrees (n, n - 1, n - 2) pass the degree check, and almost none is PH
+balanced = st.integers(2, 7).flatmap(
+    lambda n: st.tuples(*(exact_degree(d) for d in (n, n - 1, n - 2)))
 )
+
+
+def hodographs_of(*vectors):
+    return (
+        st.one_of(*vectors)
+        .filter(lambda v: any(not p.is_zero for p in v))
+        .map(lambda v: Hodograph(*v))
+    )
+
+
+hodographs = hodographs_of(arbitrary, planar, ph_hodographs)
 
 
 # Hopf pairs of degree at most 3: random ones, and helices — every degree-1
@@ -93,6 +118,13 @@ scaled_pairs = st.builds(
 hopf_pairs = st.one_of(random_pairs, helical_pairs, scaled_pairs)
 
 
+# draws times t, so the point check cannot decide them; the balanced share
+# is where sigma^2 does not divide rho^2
+division_draws = st.one_of(
+    hodographs_of(balanced), hodographs, hopf_pairs.map(hodograph_from_hopf)
+).map(times_t)
+
+
 def to_sympy(p: RatPoly):
     coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
     return sympy.Poly(coeffs or [0], T, domain="QQ")
@@ -125,15 +157,26 @@ def assert_matches_sympy(h: Hodograph, kind: str) -> None:
     assert constant == (kind in (HelixKind.HELIX, HelixKind.PLANAR))
 
 
+# sympy's cancellation dominates, at up to 0.3 s per draw of degree 8; these
+# bounds keep the file to about 15 s
+@settings(max_examples=40)
 @given(hodographs)
 def test_verdict_matches_sympy_constancy(h):
     assert_matches_sympy(h, is_helix(h).kind)
 
 
-# sympy's cancellation dominates at degree 3; this bound keeps the test to a
-# few seconds
 @settings(max_examples=25)
 @given(hopf_pairs)
 def test_wronskian_route_matches_sympy_constancy(pair):
     h = hodograph_from_hopf(pair)
+    assert_matches_sympy(h, is_helix(h).kind)
+
+
+@settings(max_examples=40)
+@given(division_draws)
+# degrees (2, 1, 0): the degree check passes and sigma^2 does not divide rho^2
+@example(times_t(Hodograph(RatPoly([1, 2, 3]), RatPoly([4, 5]), RatPoly([6]))))
+def test_division_matches_sympy_constancy(h):
+    inv = invariants(h)
+    assert not any(p.coefficient(0) for p in (inv.det, inv.sigma_squared, inv.rho_squared))
     assert_matches_sympy(h, is_helix(h).kind)

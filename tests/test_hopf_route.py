@@ -6,15 +6,16 @@ constant".  The reference below decides det^2 sigma^6 = lambda rho^6 with no
 division.  Both must give the same lambda or None on every input that
 reaches the test: Hopf pairs of degree 1-4 (random, planar, proportional
 and helical) and arbitrary hodographs of degree 1-4, which are almost never
-PH.  The second run turns off the point scan, so every input with nonzero
-det and rho^2 reaches the identity, those whose remainder is nonzero
-included.
+PH.  The second run multiplies each hodograph by t.  That keeps
+(tau/kappa)^2 and zeroes every constant term, so the check at t = 0 passes
+and every input that survives the degree check reaches the division,
+those whose remainder is nonzero included.
 """
 
 import pytest
 
 import phelix.analysis as analysis
-from conftest import rand_fraction, rand_gaussian, rand_rat_poly, seeded
+from conftest import rand_fraction, rand_gaussian, rand_rat_poly, seeded, times_t
 from phelix import (
     GaussianRational,
     GaussPoly,
@@ -110,17 +111,16 @@ FAMILIES = {
 
 
 def draws(family):
-    """One family's inputs, drawn before any test patches the analysis (the
-    generators accept each draw through is_helix)."""
+    """One family's inputs, seeded by the family's name."""
     make, count, _ = FAMILIES[family]
     rng = seeded(sum(map(ord, family)))
     return [make(rng) for _ in range(count)]
 
 
-def check_family(family, items, scan):
+def check_family(family, items):
     """Compare the identity with the reference on one family's inputs; the
-    kinds they decide must be the family's.  Returns how many inputs reached
-    the identity with sigma^2 not dividing rho^2."""
+    kinds they decide must be the family's.  Returns how many inputs passed
+    the degree check with sigma^2 not dividing rho^2."""
     kinds, remainders = set(), 0
     for item in items:
         if isinstance(item, HopfPair):
@@ -137,9 +137,10 @@ def check_family(family, items, scan):
             lam = analysis._constant_ratio_value(inv)
             assert lam == reference_ratio_value(inv)
             found = HelixKind.NOT_HELIX if lam is None else HelixKind.HELIX
-            remainders += not (inv.rho_squared % inv.sigma_squared).is_zero
-        if scan:
-            assert helix_verdict(inv).kind == found
+            det, s2, rho_squared = inv.det, inv.sigma_squared, inv.rho_squared
+            if 2 * det.degree + 3 * s2.degree == 3 * rho_squared.degree:
+                remainders += not (rho_squared % s2).is_zero
+        assert helix_verdict(inv).kind == found
         kinds.add(found)
     assert kinds == FAMILIES[family][2]
     return remainders
@@ -147,16 +148,20 @@ def check_family(family, items, scan):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_routes_agree(family):
-    check_family(family, draws(family), scan=True)
+    check_family(family, draws(family))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_routes_agree_without_scan(family, monkeypatch):
-    # with no scan points every survivor of the degree check is settled by
-    # the division, so a nonzero remainder must be read as "not constant";
-    # helix_verdict is not called, since the axis scan needs the points too
-    items = draws(family)
-    monkeypatch.setattr(analysis, "_scan_points", lambda n: ())
-    remainders = check_family(family, items, scan=False)
+def test_routes_agree_without_scan(family):
+    # on t * h the identity at t = 0 reads 0 = 0, so every survivor of the
+    # degree check is settled by the division, and a nonzero remainder must
+    # be read as "not constant"
+    items = [
+        times_t(hodograph_from_hopf(item) if isinstance(item, HopfPair) else item)
+        for item in draws(family)
+    ]
+    for inv in map(invariants, items):
+        assert not any(p.coefficient(0) for p in (inv.det, inv.sigma_squared, inv.rho_squared))
+    remainders = check_family(family, items)
     # rho^2 = 4 sigma^2 |W|^2 makes the remainder zero on every Hopf pair
     assert (remainders > 0) == (family == "hodograph")

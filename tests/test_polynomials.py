@@ -55,6 +55,16 @@ class TestGaussianRational:
         assert a.conjugate() == G(1, 7)
         assert a.norm_squared() == 50
 
+    @given(gauss_rationals, gauss_polys)
+    def test_polynomial_operands_defer_to_the_polynomial(self, c, z):
+        # the scalar's operators return NotImplemented for a GaussPoly, so
+        # Python reaches GaussPoly's reflected operator and both orders agree
+        assert c * z == z * c
+        assert c + z == z + c
+        for op in (lambda: c - z, lambda: c / z):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op()
+
     def test_division_roundtrip(self):
         a = G(3, -2)
         b = G(Fraction(1, 5), 4)
