@@ -158,7 +158,7 @@ def assert_matches_sympy(h: Hodograph, kind: str) -> None:
 
 
 # sympy's cancellation dominates, at up to 0.3 s per draw of degree 8; these
-# bounds keep the file to about 15 s
+# bounds keep the file well under 15 s
 @settings(max_examples=40)
 @given(hodographs)
 def test_verdict_matches_sympy_constancy(h):
