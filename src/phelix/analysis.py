@@ -206,12 +206,12 @@ def helix_verdict(inv: Invariants) -> HelixVerdict:
     if inv.rho_squared.is_zero:
         return HelixVerdict(HelixKind.LINE)
     if inv.det.is_zero:
-        axis, slope = _extract_axis(inv, planar=True)
+        axis, slope = _extract_axis(inv)
         return HelixVerdict(HelixKind.PLANAR, slope, axis)
     lam2 = _constant_ratio_value(inv)
     if lam2 is None:
         return HelixVerdict(HelixKind.NOT_HELIX)
-    axis, slope = _extract_axis(inv, planar=False)
+    axis, slope = _extract_axis(inv)
     if slope != lam2 / (1 + lam2):
         raise InternalInconsistencyError(
             "slope from axis disagrees with the torsion/curvature ratio"
@@ -263,32 +263,29 @@ def _degree_bound(vec) -> int:
     return max((p.degree for p in vec if not p.is_zero), default=0)
 
 
-def _extract_axis(
-    inv: Invariants, planar: bool
-) -> Tuple[Tuple[Fraction, Fraction, Fraction], Fraction]:
+def _extract_axis(inv: Invariants) -> Tuple[Tuple[Fraction, Fraction, Fraction], Fraction]:
     """Recover the constant axis direction, verifying the defining identities.
 
-    For a planar curve the axis is the constant direction of alpha' ^ alpha''.
-    For a proper helix it is the Darboux direction tau*t + kappa*b, scaled by
+    The axis is the Darboux direction tau*t + kappa*b, scaled by
     sigma^3 * rho^2 so that the vector reads det * sigma^2 * alpha' +
     rho^2 * (alpha' ^ alpha'') — a rational polynomial vector that is a scalar
-    polynomial times the constant direction.  Its value at any parameter where
-    it does not vanish is therefore the axis, assembled from the values of its
-    factors, and the verified identities make that exact.  The vector has
-    degree at most deg, so unless it vanishes identically it is nonzero at one
-    of any deg + 1 distinct points.
+    polynomial times the constant direction; on a planar curve det = 0 and it
+    is the plane normal times rho^2 = |alpha' ^ alpha''|^2.  Its value at any
+    parameter where it does not vanish is therefore the axis, assembled from
+    the values of its factors, and the verified identities make that exact.
+    The vector has degree at most deg, so unless it vanishes identically it
+    is nonzero at one of any deg + 1 distinct points.
     """
     v, c = inv.v, inv.cross
     det, s2, r2 = inv.det, inv.sigma_squared, inv.rho_squared
-    deg = _degree_bound(c)
-    if not planar:
-        deg = max(det.degree + s2.degree + _degree_bound(v), r2.degree + deg)
+    deg = max(
+        _degree_bound((det,)) + s2.degree + _degree_bound(v),
+        r2.degree + _degree_bound(c),
+    )
     for t in _scan_points(deg + 1):
-        values = tuple(p.evaluate(t) for p in c)
-        if not planar:
-            det_s2 = det.evaluate(t) * s2.evaluate(t)
-            r2_t = r2.evaluate(t)
-            values = tuple(det_s2 * p.evaluate(t) + r2_t * ci for p, ci in zip(v, values))
+        det_s2 = det.evaluate(t) * s2.evaluate(t)
+        r2_t = r2.evaluate(t)
+        values = tuple(det_s2 * p.evaluate(t) + r2_t * q.evaluate(t) for p, q in zip(v, c))
         if any(values):
             axis = _integer_cleared(values)
             slope = _verify_axis(axis, inv)

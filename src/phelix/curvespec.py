@@ -357,5 +357,5 @@ def load_spec(text: str) -> CurveSpec:
     return parse_spec(doc)
 
 
-def dump_spec(spec: CurveSpec, indent: Optional[int] = None) -> str:
-    return json.dumps(spec_to_doc(spec), indent=indent)
+def dump_spec(spec: CurveSpec) -> str:
+    return json.dumps(spec_to_doc(spec))

@@ -429,12 +429,6 @@ class GaussPoly:
     def coefficient(self, k: int) -> GaussianRational:
         return GaussianRational(self.re.coefficient(k), self.im.coefficient(k))
 
-    def real_part(self) -> RatPoly:
-        return self.re
-
-    def imag_part(self) -> RatPoly:
-        return self.im
-
     def __add__(self, other) -> "GaussPoly":
         other = _as_gauss(other)
         return GaussPoly.from_parts(self.re + other.re, self.im + other.im)
@@ -462,13 +456,6 @@ class GaussPoly:
 
     def derivative(self) -> "GaussPoly":
         return GaussPoly.from_parts(self.re.derivative(), self.im.derivative())
-
-    def conjugate(self) -> "GaussPoly":
-        return GaussPoly.from_parts(self.re, -1 * self.im)
-
-    def norm_squared(self) -> RatPoly:
-        """The rational polynomial self * conj(self) = Re(self)^2 + Im(self)^2."""
-        return self.re * self.re + self.im * self.im
 
     def __divmod__(self, other):
         # long division on integer numerators.  With b = B / db and L = B's
@@ -606,9 +593,6 @@ class ScaledSqrt:
     def is_zero(self) -> bool:
         return self.body.is_zero
 
-    def squared(self) -> RatPoly:
-        return self.scale * (self.body * self.body)
-
     def as_rat_poly(self) -> Optional[RatPoly]:
         """The exact rational polynomial sqrt(scale)*body, when the root is rational."""
         root = rational_sqrt(self.scale)
@@ -681,9 +665,10 @@ class RationalFunction:
     """Reduced quotient of two rational polynomials, as a value.
 
     It carries no arithmetic: each quotient is built from its own numerator
-    and denominator and then compared, evaluated or printed.  The denominator is primitive with positive leading coefficient and
-    coprime to the numerator, so equal values compare equal structurally and
-    constancy is a denominator-degree check rather than a sampling heuristic.
+    and denominator and then compared, evaluated or printed.  The denominator
+    is primitive with positive leading coefficient and coprime to the
+    numerator, so equal values compare equal structurally and constancy is a
+    denominator-degree check rather than a sampling heuristic.
     """
 
     __slots__ = ("num", "den")
@@ -744,12 +729,12 @@ class RationalFunction:
 # ---------------------------------------------------------------------------
 
 
-def _power_str(k: int, var: str) -> str:
+def _power_str(k: int) -> str:
     if k == 0:
         return ""
     if k == 1:
-        return var
-    return f"{var}^{k}"
+        return "t"
+    return f"t^{k}"
 
 
 def _real_term(c: Fraction, power: str) -> Tuple[bool, str]:
@@ -775,13 +760,13 @@ def _gauss_term(c: GaussianRational, power: str) -> Tuple[bool, str]:
     return False, f"({c!s}){power}"
 
 
-def _join_terms(p, term, var: str) -> str:
+def _join_terms(p, term) -> str:
     """The nonzero terms of p, highest power first, with explicit signs."""
     parts: List[str] = []
     for k, c in reversed(list(enumerate(p.coeffs))):
         if not c:
             continue
-        negative, body = term(c, _power_str(k, var))
+        negative, body = term(c, _power_str(k))
         if not parts:
             parts.append(f"-{body}" if negative else body)
         else:
@@ -789,9 +774,9 @@ def _join_terms(p, term, var: str) -> str:
     return "".join(parts) or "0"
 
 
-def format_rat_poly(p: RatPoly, var: str = "t") -> str:
-    return _join_terms(p, _real_term, var)
+def format_rat_poly(p: RatPoly) -> str:
+    return _join_terms(p, _real_term)
 
 
-def format_gauss_poly(p: GaussPoly, var: str = "t") -> str:
-    return _join_terms(p, _gauss_term, var)
+def format_gauss_poly(p: GaussPoly) -> str:
+    return _join_terms(p, _gauss_term)

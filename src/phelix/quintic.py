@@ -358,14 +358,16 @@ def _route_case(
         return QuinticClass(QuinticKind.NOT_HELIX)
     g = decomposition.hopf_gcd
     shared = monotone_test(pair) if g is None else _nonconstant(g)
-    if decomposition.case == DecompositionCase.OMEGA_CONSTANT:
-        if shared is None:
-            raise InternalInconsistencyError(
-                "constant-omega decomposition without a shared Hopf factor"
-            )
-        return QuinticClass(QuinticKind.MONOTONE_HELIX, shared_factor=shared)
+    # a non-constant g = gcd(z1, z2) makes W = g^2 * (u'v - uv') a constant
+    # times (t - r)^2, which the casework reads as constant omega; so omega
+    # is constant exactly when z1 and z2 share a factor
+    if (decomposition.case == DecompositionCase.OMEGA_CONSTANT) != (shared is not None):
+        raise InternalInconsistencyError(
+            "constant-omega decomposition without a shared Hopf factor"
+            if shared is None
+            else f"shared Hopf factor with a {decomposition.case} decomposition"
+        )
     if shared is not None:
-        # sub-quintic inputs can land here with a constant Wronskian
         return QuinticClass(QuinticKind.MONOTONE_HELIX, shared_factor=shared)
     a0, a1, a2 = _quadratic_coefficients(quat)
     dependence = quaternion_dependence(a0, a1, a2)
@@ -378,21 +380,14 @@ def _route_case(
 # generators for the two helix families
 # ---------------------------------------------------------------------------
 
-DEFAULT_HEIGHT = 50
 _MAX_ATTEMPTS = 1000
 
 
-def _as_rng(rng: Union[random.Random, int, None]) -> random.Random:
-    if isinstance(rng, random.Random):
-        return rng
-    return random.Random(rng)
-
-
-def random_fraction(rng: random.Random, height: int = DEFAULT_HEIGHT) -> Fraction:
+def random_fraction(rng: random.Random, height: int) -> Fraction:
     return Fraction(rng.randint(-height, height), rng.randint(1, height))
 
 
-def random_gaussian(rng: random.Random, height: int = DEFAULT_HEIGHT) -> GaussianRational:
+def random_gaussian(rng: random.Random, height: int) -> GaussianRational:
     return GaussianRational(random_fraction(rng, height), random_fraction(rng, height))
 
 
@@ -403,7 +398,7 @@ def _nonzero_gaussian(rng: random.Random, height: int) -> GaussianRational:
             return g
 
 
-def random_quaternion(rng: random.Random, height: int = DEFAULT_HEIGHT) -> Quaternion:
+def random_quaternion(rng: random.Random, height: int) -> Quaternion:
     return Quaternion(*(random_fraction(rng, height) for _ in range(4)))
 
 
@@ -411,38 +406,17 @@ def _linear_factor(root: GaussianRational) -> GaussPoly:
     return GaussPoly([-root, GaussianRational(1)])
 
 
-def generate_monotone_quintic(
-    rng: Union[random.Random, int, None] = None,
-    *,
-    shared_root: Optional[GaussianRational] = None,
-    other_roots: Optional[Tuple[GaussianRational, GaussianRational]] = None,
-    leads: Optional[Tuple[GaussianRational, GaussianRational]] = None,
-    height: int = DEFAULT_HEIGHT,
-) -> HopfPair:
+def generate_monotone_quintic(rng: random.Random, height: int) -> HopfPair:
     """A Hopf pair z1 = a(t-r)(t-r2), z2 = b(t-r)(t-r4) with a shared root.
 
-    Sampled parameters are height-bounded rationals; samples that degenerate
-    (proportional pair, or a planar/line slope verdict) are rejected and
-    redrawn.  Explicit parameters are validated once and never redrawn.
+    The parameters are height-bounded rationals, drawn in the order r, r2,
+    r4, a, b; a and b are nonzero.  A sample whose slope verdict is not a
+    helix is redrawn: r2 = r4 makes the pair proportional and the curve a
+    line, and a planar sample is no helix of this family either.
     """
-    rng = _as_rng(rng)
-    explicit = shared_root is not None and other_roots is not None and leads is not None
     for _ in range(_MAX_ATTEMPTS):
-        r = shared_root if shared_root is not None else random_gaussian(rng, height)
-        r2, r4 = other_roots if other_roots is not None else (
-            random_gaussian(rng, height),
-            random_gaussian(rng, height),
-        )
-        a, b = leads if leads is not None else (
-            _nonzero_gaussian(rng, height),
-            _nonzero_gaussian(rng, height),
-        )
-        if a.is_zero or b.is_zero or r2 == r4:
-            if explicit:
-                raise DegenerateInputError(
-                    "parameters produce a proportional Hopf pair"
-                )
-            continue
+        r, r2, r4 = (random_gaussian(rng, height) for _ in range(3))
+        a, b = _nonzero_gaussian(rng, height), _nonzero_gaussian(rng, height)
         shared = _linear_factor(r)
         pair = HopfPair(
             GaussPoly([a]) * shared * _linear_factor(r2),
@@ -450,45 +424,23 @@ def generate_monotone_quintic(
         )
         if is_helix(hodograph_from_hopf(pair)).kind == HelixKind.HELIX:
             return pair
-        if explicit:
-            raise DegenerateInputError("parameters produce a degenerate curve")
     raise DegenerateInputError("could not sample a monotone helix")
 
 
-def generate_general_quintic(
-    rng: Union[random.Random, int, None] = None,
-    *,
-    a0: Optional[Quaternion] = None,
-    a2: Optional[Quaternion] = None,
-    c0: Optional[Fraction] = None,
-    c2: Optional[Fraction] = None,
-    height: int = DEFAULT_HEIGHT,
-) -> QuaternionPolynomial:
+def generate_general_quintic(rng: random.Random, height: int) -> QuaternionPolynomial:
     """A quadratic quaternion polynomial with A1 = c0*A0 + c2*A2.
 
-    Samples that degenerate (zero polynomial or vanishing Wronskian) are
-    redrawn unless every parameter was given explicitly.
+    A0, A2, c0 and c2 are height-bounded rationals, drawn in that order.  The
+    zero polynomial and a sample whose slope verdict is not a helix are
+    redrawn; a vanishing Wronskian makes the curve a line.
     """
-    rng = _as_rng(rng)
-    explicit = all(v is not None for v in (a0, a2, c0, c2))
     for _ in range(_MAX_ATTEMPTS):
-        q0 = a0 if a0 is not None else random_quaternion(rng, height)
-        q2 = a2 if a2 is not None else random_quaternion(rng, height)
-        k0 = c0 if c0 is not None else random_fraction(rng, height)
-        k2 = c2 if c2 is not None else random_fraction(rng, height)
-        q1 = k0 * q0 + k2 * q2
-        quat = QuaternionPolynomial([q0, q1, q2])
+        q0, q2 = random_quaternion(rng, height), random_quaternion(rng, height)
+        k0, k2 = random_fraction(rng, height), random_fraction(rng, height)
+        quat = QuaternionPolynomial([q0, k0 * q0 + k2 * q2, q2])
         if quat.is_zero:
-            if explicit:
-                raise DegenerateInputError("zero quaternion polynomial")
             continue
-        pair = hopf_from_quaternion(quat)
-        if wronskian(pair.z1, pair.z2).is_zero:
-            if explicit:
-                raise DegenerateInputError("parameters give a vanishing Wronskian")
-            continue
-        if is_helix(hodograph_from_hopf(pair)).kind == HelixKind.HELIX:
+        h = hodograph_from_hopf(hopf_from_quaternion(quat))
+        if is_helix(h).kind == HelixKind.HELIX:
             return quat
-        if explicit:
-            raise DegenerateInputError("parameters produce a degenerate curve")
     raise DegenerateInputError("could not sample a general helix")

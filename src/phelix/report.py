@@ -12,7 +12,12 @@ from typing import List, NamedTuple, Optional, Tuple
 from .analysis import CurveAnalysis, HelixKind, HelixVerdict, analyze
 from .curvespec import CurveSpec, encode_gauss_poly, encode_rat_poly, encode_rationals
 from .polynomials import GaussPoly, RatPoly, RationalFunction, ScaledSqrt
-from .quintic import QUINTIC_MAX_DEGREE, ClassificationReport, classify_quintic
+from .quintic import (
+    QUINTIC_MAX_DEGREE,
+    ClassificationReport,
+    QuinticKind,
+    classify_quintic,
+)
 
 TOOL_NAME = "phelix"
 
@@ -66,7 +71,6 @@ class ReportDocument(NamedTuple):
     input_doc: dict
     analysis: CurveAnalysis
     classification: Optional[ClassificationReport] = None
-    seed: Optional[int] = None
 
     @property
     def degenerate(self) -> bool:
@@ -74,7 +78,7 @@ class ReportDocument(NamedTuple):
             return True
         return (
             self.classification is not None
-            and self.classification.quintic_class.kind == "degenerate"
+            and self.classification.quintic_class.kind == QuinticKind.DEGENERATE
         )
 
     def to_dict(self) -> dict:
@@ -97,8 +101,6 @@ class ReportDocument(NamedTuple):
                 "verdict": _verdict_doc(a.verdict),
             },
         }
-        if self.seed is not None:
-            doc["seed"] = self.seed
         if self.classification is not None:
             c = self.classification
             doc["classification"] = {

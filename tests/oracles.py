@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from phelix import (
+    GaussPoly,
     HopfPair,
     Quaternion,
     QuaternionPolynomial,
@@ -109,13 +110,18 @@ def quaternion_hodograph_product(a: QuaternionPolynomial) -> QuaternionPolynomia
     return QuaternionPolynomial([Quaternion(*c) for c in product])
 
 
+def abs_squared(z: GaussPoly) -> RatPoly:
+    """|z|^2 = Re(z)^2 + Im(z)^2 on real t."""
+    return z.re * z.re + z.im * z.im
+
+
 def sigma_poly(source) -> RatPoly:
     """The exact speed polynomial u^2 + v^2 + p^2 + q^2 = |z1|^2 + |z2|^2."""
     if isinstance(source, QuaternionPolynomial):
         u, v, p, q = source.component_polys()
         return u * u + v * v + p * p + q * q
     if isinstance(source, HopfPair):
-        return source.z1.norm_squared() + source.z2.norm_squared()
+        return abs_squared(source.z1) + abs_squared(source.z2)
     raise TypeError(f"expected a quaternion polynomial or Hopf pair, got {source!r}")
 
 

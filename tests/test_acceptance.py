@@ -229,7 +229,7 @@ def test_criterion_09_perfect_square_oracle():
         p = c * q * q
         root = perfect_square_root(p)
         if c > 0:
-            assert root is not None and root.squared() == p
+            assert root is not None and root.scale * (root.body * root.body) == p
             squares += 1
         else:
             assert root is None

@@ -337,6 +337,14 @@ FAULTS = {
         lambda pair: None,
         "constant-omega decomposition without a shared Hopf factor",
     ),
+    "wronskian-case": (
+        quintic,
+        "decompose_wronskian_quintic",
+        lambda pair, w: quintic.WronskianDecomposition(
+            quintic.DecompositionCase.Z_CONSTANT, RatPoly.one(), w
+        ),
+        "shared Hopf factor with a z-constant decomposition",
+    ),
     "norm-test": (
         analysis,
         "norms",

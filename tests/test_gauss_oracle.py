@@ -20,7 +20,7 @@ from conftest import (
     rat_polys,
 )
 from oracles import convolve, long_divmod
-from phelix import DegenerateInputError, GaussPoly, GaussianRational, RatPoly
+from phelix import DegenerateInputError, GaussPoly, GaussianRational
 
 ZERO, ONE = GaussianRational(), GaussianRational(1)
 
@@ -76,15 +76,3 @@ def test_monic(a):
     coeffs = gauss_coeffs(a)
     expected = [c * (ONE / coeffs[-1]) for c in coeffs] if coeffs else []
     assert a.monic() == GaussPoly(expected)
-
-
-@given(gauss_polys)
-def test_conjugate(a):
-    assert a.conjugate() == GaussPoly([c.conjugate() for c in gauss_coeffs(a)])
-
-
-@given(gauss_polys)
-def test_norm_squared(a):
-    product = convolve(gauss_coeffs(a), [c.conjugate() for c in gauss_coeffs(a)], ZERO)
-    assert all(c.is_real for c in product)
-    assert a.norm_squared() == RatPoly([c.re for c in product])

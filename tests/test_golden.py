@@ -1,8 +1,9 @@
 """Golden bytes: the CLI reports may not change by a single byte.
 
 Each case runs ``classify`` and ``analyze`` in text and JSON on one curve
-spec and pins the exit code and the sha256 of stdout; ``verify`` is pinned
-the same way.  Refactors of the analysis must leave every digest as it is.
+spec and pins the exit code and the sha256 of stdout; ``verify`` and
+``generate`` on both helix families are pinned the same way.  Refactors of
+the analysis and the samplers must leave every digest as it is.
 After a deliberate change of the output, print the new table with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
@@ -26,6 +27,13 @@ RUNS = (
     ("analyze", "text"),
     ("analyze", "json"),
 )
+
+GENERATE_RUNS = tuple(
+    ("--family", family, "--seed", "3", "--count", "4", "--format", fmt)
+    for family in ("monotone", "general")
+    for fmt in ("text", "json")
+) + (("--family", "monotone", "--seed", "3", "--count", "4", "--height", "31",
+      "--format", "json"),)
 
 
 def _quaternion_doc(quat) -> str:
@@ -77,6 +85,8 @@ def _run(argv) -> tuple:
 
 def _outputs(tmp_dir) -> dict:
     table = {"verify": _run(["verify"])}
+    for args in GENERATE_RUNS:
+        table["generate " + " ".join(args)] = _run(["generate", *args])
     for name, text in _specs().items():
         path = tmp_dir / f"{name}.json"
         path.write_text(text)
@@ -88,6 +98,12 @@ def _outputs(tmp_dir) -> dict:
 # (exit code, first 16 hex digits of the sha256 of stdout)
 GOLDEN = {
     'verify': (0, '3bb7e7080b4d65ed'),
+    'generate --family monotone --seed 3 --count 4 --format text': (0, 'e12423d4e80dbd7c'),
+    'generate --family monotone --seed 3 --count 4 --format json': (0, '984498608d2465e6'),
+    'generate --family general --seed 3 --count 4 --format text': (0, '4787e2a315a79468'),
+    'generate --family general --seed 3 --count 4 --format json': (0, '2448a3024c72ad18'),
+    'generate --family monotone --seed 3 --count 4 --height 31 --format json':
+        (0, '75ab2d7e03938f45'),
     'example1 classify text': (0, 'cbe9fe8c10b053bf'),
     'example1 classify json': (0, 'db358a30a11d2b16'),
     'example1 analyze text': (0, '8615e3dc019193d7'),

@@ -63,7 +63,7 @@ def assert_agrees(p: RatPoly):
     assert root == yun_root(p)
     assert root == sympy_root(p)
     if root is not None:
-        assert root.squared() == p
+        assert root.scale * (root.body * root.body) == p
     return root
 
 

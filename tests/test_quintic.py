@@ -1,11 +1,12 @@
 """Wronskian decomposition, the two helix families, and the classifier."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import rand_quaternion_quadratic, seeded
-from oracles import predicted_dependence
+from oracles import abs_squared, predicted_dependence
 from phelix import (
     DegenerateInputError,
     GaussPoly,
@@ -32,6 +33,17 @@ from phelix.quintic import DecompositionCase, QuinticKind
 
 def G(re, im=0):
     return GaussianRational(re, im)
+
+
+class _Scripted(random.Random):
+    """A seeded random.Random whose first randint calls return a script."""
+
+    def __init__(self, seed, script):
+        super().__init__(seed)
+        self.script = list(script)
+
+    def randint(self, a, b):
+        return self.script.pop(0) if self.script else super().randint(a, b)
 
 
 EXAMPLE1 = QuaternionPolynomial(
@@ -74,7 +86,7 @@ class TestDecompose:
             if w.is_zero:
                 continue
             dec = decompose_wronskian_quintic(pair)
-            square = perfect_square_root(w.norm_squared()) is not None
+            square = perfect_square_root(abs_squared(w)) is not None
             assert dec.exists == square
             degenerate += not dec.exists
             decomposable += dec.exists
@@ -281,54 +293,53 @@ class TestClassify:
 
 class TestGenerators:
     def test_monotone_deterministic(self):
-        a = generate_monotone_quintic(7, height=6)
-        b = generate_monotone_quintic(7, height=6)
+        a = generate_monotone_quintic(seeded(7), height=6)
+        b = generate_monotone_quintic(seeded(7), height=6)
         assert a == b
 
     def test_general_deterministic(self):
-        a = generate_general_quintic(7, height=6)
-        b = generate_general_quintic(7, height=6)
+        a = generate_general_quintic(seeded(7), height=6)
+        b = generate_general_quintic(seeded(7), height=6)
         assert a == b
 
+    @pytest.mark.parametrize(
+        "generate, script",
+        [
+            # r, then r2 = r4: a proportional pair, whose curve is a line
+            (generate_monotone_quintic, [1, 1, 0, 1] + [2, 1, 0, 1] * 2 + [1, 1, 0, 1] * 2),
+            # A0 = A2 = 0: the zero polynomial
+            (generate_general_quintic, [0, 1] * 8 + [1, 1] * 2),
+            # A(t) = 1: a constant hodograph, whose Wronskian vanishes
+            (generate_general_quintic, [1, 1] + [0, 1] * 9),
+        ],
+        ids=["monotone-proportional", "general-zero", "general-constant"],
+    )
+    def test_degenerate_draw_is_redrawn(self, generate, script):
+        # the first attempt reads the script, every later one the seeded
+        # stream, so a rejected first attempt leaves the seed's curve
+        assert generate(_Scripted(8, script), height=6) == generate(seeded(8), height=6)
+
     def test_monotone_with_explicit_shared_root(self):
-        pair = generate_monotone_quintic(
-            None,
-            shared_root=G(1, 2),
-            other_roots=(G(3), G(0, -1)),
-            leads=(G(1), G(2, 1)),
+        def linear(root):
+            return GaussPoly([-root, G(1)])
+
+        shared = linear(G(1, 2))
+        pair = HopfPair(
+            GaussPoly([G(1)]) * shared * linear(G(3)),
+            GaussPoly([G(2, 1)]) * shared * linear(G(0, -1)),
         )
         assert monotone_test(pair) == GaussPoly([G(-1, -2), G(1)])
         dec = decompose_wronskian_quintic(pair)
         assert dec.case == DecompositionCase.OMEGA_CONSTANT
 
-    def test_monotone_rejects_proportional_parameters(self):
-        with pytest.raises(DegenerateInputError):
-            generate_monotone_quintic(
-                None,
-                shared_root=G(0),
-                other_roots=(G(1), G(1)),
-                leads=(G(1), G(1)),
-            )
-
     def test_general_reproduces_example2(self):
-        quat = generate_general_quintic(
-            None,
-            a0=EXAMPLE2.coefficient(0),
-            a2=EXAMPLE2.coefficient(2),
-            c0=Fraction(-6, 7),
-            c2=Fraction(-6, 7),
-        )
-        assert quat == EXAMPLE2
+        a0, a2 = EXAMPLE2.coefficient(0), EXAMPLE2.coefficient(2)
+        c0 = c2 = Fraction(-6, 7)
+        assert QuaternionPolynomial([a0, c0 * a0 + c2 * a2, a2]) == EXAMPLE2
 
     def test_general_with_zero_coefficients(self):
-        quat = generate_general_quintic(
-            None,
-            a0=Quaternion(1, 2, 0, 1),
-            a2=Quaternion(0, 1, 1, 0),
-            c0=Fraction(0),
-            c2=Fraction(0),
-        )
-        assert quat.coefficient(1) == Quaternion()
+        # c0 = c2 = 0: the degree-one quaternion vanishes
+        quat = QuaternionPolynomial([Quaternion(1, 2, 0, 1), Quaternion(), Quaternion(0, 1, 1, 0)])
         assert classify_quintic(quat).is_helix
 
     def test_shared_factor_iff_omega_constant(self):
