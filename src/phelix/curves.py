@@ -103,7 +103,10 @@ class Quaternion:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.components())
+        # a scalar quaternion equals its scalar part, so it hashes as that
+        if self.x or self.y or self.z:
+            return hash(self.components())
+        return hash(self.w)
 
     def __repr__(self) -> str:
         return f"Quaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"

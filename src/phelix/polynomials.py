@@ -10,6 +10,15 @@ product runs through its integer convolution.  A :class:`GaussPoly` is a
 pair of RatPolys (real and imaginary parts), and a quaternion polynomial
 (``curves.QuaternionPolynomial``) is four of them.
 
+A RatPoly also carries an integer form (den, ints) with coeffs = ints / den.
+den is any positive common denominator, not necessarily the least.  The
+form is set in two places only: on first read, by ``_cleared``, and by
+``__mul__``, whose product already holds (d1 * d2, convolution).  Products,
+``evaluate``, ``primitive_positive`` and ``perfect_square_root`` read it, so
+a chain of products clears each input's denominators once.  ``coeffs``
+stays the canonical tuple of reduced Fractions; equality, hashing and
+rendering read only that.
+
 The normal forms are:
 
 * a RatPoly stores ascending coefficients with no trailing zeros, and the
@@ -141,7 +150,8 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        # a real value equals its real part, so it hashes as that (as complex does)
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -168,13 +178,21 @@ def _format_imaginary(value: Fraction) -> str:
 class RatPoly:
     """Dense univariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_form")
 
     def __init__(self, coeffs: Iterable[RatLike] = ()):
         cs = [as_fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
+        self._form = None
+
+    def _integer_form(self) -> Tuple[int, List[int]]:
+        """(den, ints) with coeffs = ints / den; read-only, cleared at most once."""
+        form = self._form
+        if form is None:
+            form = self._form = _cleared(self.coeffs)
+        return form
 
     # -- construction helpers ------------------------------------------------
 
@@ -233,30 +251,40 @@ class RatPoly:
 
     def __mul__(self, other):
         # integer convolution with one normalization per output coefficient;
-        # much faster than Fraction products term by term
+        # much faster than Fraction products term by term.  The product keeps
+        # (d1 * d2, convolution) as its integer form, so a later product or
+        # evaluation does not clear its denominators again.
         other = self._as_same(other)
         if other is None:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return RatPoly()
-        d1, a = _cleared(self.coeffs)
-        d2, b = _cleared(other.coeffs)
+        d1, a = self._integer_form()
+        d2, b = other._integer_form()
         den = d1 * d2
-        return RatPoly([Fraction(v, den) for v in _convolve(a, b)])
+        ints = _convolve(a, b)
+        # the leading entry is a product of two nonzero ones: no trailing zeros
+        product = RatPoly.__new__(RatPoly)
+        product.coeffs = tuple([Fraction(v, den) for v in ints])
+        product._form = (den, ints)
+        return product
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "RatPoly":
+        # binary powering from the base itself: n = 2^k needs k products
         if n < 0:
             raise ValueError("negative polynomial powers are not defined")
-        result = self.one()
-        base = self
-        while n:
+        if not n:
+            return self.one()
+        base, result = self, None
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RatPoly):
@@ -316,7 +344,7 @@ class RatPoly:
         point = as_fraction(point)
         if self.is_zero:
             return Fraction(0)
-        den, ints = _cleared(self.coeffs)
+        den, ints = self._integer_form()
         a, b = point.numerator, point.denominator
         acc, power = ints[-1], 1
         for c in reversed(ints[:-1]):
@@ -326,7 +354,7 @@ class RatPoly:
 
     def primitive_positive(self) -> Tuple[Fraction, "RatPoly"]:
         """Split into (content, primitive part with positive leading coefficient)."""
-        content, ints = primitive_split(self.coeffs)
+        content, ints = _primitive(*self._integer_form())
         return content, RatPoly(ints)
 
     def __repr__(self) -> str:
@@ -366,10 +394,14 @@ def primitive_split(values) -> Tuple[Fraction, List[int]]:
     The ints are coprime and the last nonzero one is positive, so the
     content carries that entry's sign.  All-zero input gives (0, zeros).
     """
-    den, ints = _cleared(values)
+    return _primitive(*_cleared(values))
+
+
+def _primitive(den: int, ints: List[int]) -> Tuple[Fraction, List[int]]:
+    """primitive_split of ints / den; den may be any positive common denominator."""
     g = math.gcd(*ints)
     if not g:
-        return Fraction(0), ints
+        return Fraction(0), list(ints)
     if next(v for v in reversed(ints) if v) < 0:
         g = -g
     return Fraction(g, den), [v // g for v in ints]
@@ -636,7 +668,7 @@ def perfect_square_root(p: RatPoly) -> Optional[ScaledSqrt]:
         return ScaledSqrt.zero()
     if p.degree % 2:
         return None
-    content, target = primitive_split(p.coeffs)
+    content, target = _primitive(*p._integer_form())
     if content <= 0:
         return None
     n = p.degree // 2
@@ -690,7 +722,10 @@ class RationalFunction:
 
     @classmethod
     def constant(cls, value: RatLike) -> "RationalFunction":
-        return cls(RatPoly([value]), RatPoly.one())
+        # value / 1 is already reduced, with a primitive positive denominator
+        f = cls.__new__(cls)
+        f.num, f.den = RatPoly([value]), RatPoly.one()
+        return f
 
     @property
     def is_zero(self) -> bool:

@@ -72,6 +72,19 @@ class TestQuaternion:
                 op()
         assert 2 * a == a * 2 == a + a
 
+    @pytest.mark.parametrize("value", [0, 2, -5, Fraction(3, 4)])
+    def test_scalar_hashes_as_its_scalar_part(self, value):
+        # equal objects hash equal, so sets and dicts see one member
+        assert Quaternion(value) == value
+        assert hash(Quaternion(value)) == hash(value)
+        assert len({Quaternion(value), value}) == 1
+        assert {value: "scalar"}[Quaternion(value)] == "scalar"
+        assert Quaternion(value) in {value}
+
+    def test_vector_part_keeps_values_apart(self):
+        assert Quaternion(2, 0, 0, 1) not in {2, Quaternion(2)}
+        assert len({Quaternion(2, 1), Quaternion(2, 0, 1), Quaternion(2)}) == 3
+
     @given(quaternions, quaternions)
     def test_norm_multiplicative(self, a, b):
         norm = quaternion_norm_squared

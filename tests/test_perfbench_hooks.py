@@ -4,13 +4,19 @@
 and ``METHODS`` and counts ``_Polynomial.__divmod__``;
 ``perfbench/workloads.py`` builds its corpora from phelix names.  Both
 files are read here as source, not imported, so a deletion in ``src/`` that
-would break ``perfbench/run.py --trace`` fails tier-1 as well.
+would break ``perfbench/run.py --trace`` fails tier-1 as well.  The
+tracer's notes also hash polynomial ``coeffs`` tuples and read their
+numerators and denominators, so the representation they read is pinned
+here too.
 """
 
 import ast
 import importlib
 import types
+from fractions import Fraction
 from pathlib import Path
+
+from phelix import GaussPoly, RatPoly
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -46,6 +52,21 @@ def test_traced_methods_resolve():
 def test_counted_divmod_resolves():
     poly = importlib.import_module("phelix.polynomials")._Polynomial
     assert callable(poly.__dict__["__divmod__"])
+
+
+def test_noted_coefficients_are_fraction_tuples():
+    # _note takes hash(p.coeffs) and each coefficient's numerator and
+    # denominator (through .re and .im on Gaussian ones)
+    p = RatPoly([1, Fraction(-2, 3), 5])
+    for poly in (p, p * p, p**3, p + p, p.derivative(), divmod(p * p, p)[0]):
+        assert type(poly.coeffs) is tuple
+        assert all(type(c) is Fraction for c in poly.coeffs)
+        hash(poly.coeffs)
+    g = GaussPoly.from_parts(p, p.derivative())
+    for poly in (g, g * g, divmod(g * g, g)[0]):
+        assert type(poly.coeffs) is tuple
+        for c in poly.coeffs:
+            assert type(c.re) is Fraction and type(c.im) is Fraction
 
 
 def test_workload_names_resolve():

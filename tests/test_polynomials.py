@@ -80,6 +80,19 @@ class TestGaussianRational:
     def test_norm_is_self_times_conjugate(self, a):
         assert a * a.conjugate() == G(a.norm_squared())
 
+    @pytest.mark.parametrize("value", [0, 1, -3, Fraction(2, 7)])
+    def test_real_value_hashes_as_its_real_part(self, value):
+        # equal objects hash equal, so sets and dicts see one member
+        assert G(value) == value
+        assert hash(G(value)) == hash(value)
+        assert len({G(value), value}) == 1
+        assert {value: "real"}[G(value)] == "real"
+        assert G(value) in {value}
+
+    def test_nonreal_value_is_not_its_real_part(self):
+        assert G(1, 1) not in {1, G(1)}
+        assert len({G(1, 1), G(1, -1), G(1)}) == 3
+
 
 # ---------------------------------------------------------------------------
 # polynomial arithmetic
@@ -111,6 +124,36 @@ class TestPolyArithmetic:
     def test_derivative_of_product(self, p, q):
         lhs = (p * q).derivative()
         assert lhs == p.derivative() * q + p * q.derivative()
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_power_products(self, monkeypatch, n):
+        # binary powering from the base: one product per bit after the top
+        # one, plus one per further set bit
+        p = RatPoly([Fraction(1, 2), -3, Fraction(2, 5), 0, 1])
+        expected = p
+        for _ in range(n - 1):
+            expected = expected * p
+        products = []
+        original = RatPoly.__mul__
+
+        def counted(a, b):
+            products.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(RatPoly, "__mul__", counted)
+        assert p**n == expected
+        assert len(products) == n.bit_length() - 1 + bin(n).count("1") - 1
+
+    @given(rat_polys, st.integers(0, 6))
+    def test_power_is_repeated_product(self, p, n):
+        expected = RatPoly.one()
+        for _ in range(n):
+            expected = expected * p
+        assert p**n == expected
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError):
+            RatPoly([1, 1]) ** -1
 
     @given(rat_polys, nonzero_rat_polys)
     def test_divmod_identity(self, a, b):
@@ -384,6 +427,11 @@ class TestRationalFunction:
     def test_zero_denominator_rejected(self):
         with pytest.raises(DegenerateInputError):
             RationalFunction(RatPoly([1]), RatPoly())
+
+    @given(rationals)
+    def test_constant_is_the_reduced_quotient(self, value):
+        expected = RationalFunction(RatPoly([value]), RatPoly.one())
+        assert RationalFunction.constant(value) == expected
 
     def test_evaluate(self):
         r = RationalFunction(RatPoly([0, 1]), RatPoly([1, 0, 1]))
