@@ -80,6 +80,9 @@ MAX_COEFF_BITS = 32
 # ``analyze`` (81% in its divisions, 18% in making remainders monic, 54% in
 # the ``math.gcd`` calls of Fraction normalization); building the invariants
 # takes 0.1%, and a degree-12 hodograph never reaches the quintic casework.
+# This bound and MAX_COEFF_BITS do not yet bound the run time: a random
+# degree-12 hodograph spec with 8-bit rationals did not finish in 15 min, and
+# one with 32-bit rationals not in 60 min (ROADMAP item 3).
 MAX_DEGREE = 12
 
 # The rational syntax of a spec string: an optional sign, then digits/digits

@@ -489,39 +489,10 @@ class GaussPoly:
     def derivative(self) -> "GaussPoly":
         return GaussPoly.from_parts(self.re.derivative(), self.im.derivative())
 
-    def __divmod__(self, other):
-        # long division on integer numerators.  With b = B / db and L = B's
-        # leading entry, each quotient term is the remainder's top entry T
-        # times db * conj(L) / |L|^2, the inverse of b's leading coefficient;
-        # |L|^2 joins the remainder's integer denominator at each step
-        other = _as_gauss(other)
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        n, dn = self._length(), other._length()
-        den, ar, ai = _cleared_parts(self, n)
-        db, br, bi = _cleared_parts(other, dn)
-        lr, li = br[-1], bi[-1]
-        norm = lr * lr + li * li
-        qr, qi = [], []
-        for k in range(n - dn, -1, -1):
-            tr, ti = ar[k + dn - 1], ai[k + dn - 1]
-            cr, ci = tr * lr + ti * li, ti * lr - tr * li
-            qr.append(Fraction(cr * db, den * norm))
-            qi.append(Fraction(ci * db, den * norm))
-            ar, ai = [v * norm for v in ar], [v * norm for v in ai]
-            for j in range(dn):
-                ar[k + j] -= cr * br[j] - ci * bi[j]
-                ai[k + j] -= cr * bi[j] + ci * br[j]
-            den *= norm
-        quotient = GaussPoly.from_parts(RatPoly(qr[::-1]), RatPoly(qi[::-1]))
-        rem = [RatPoly([Fraction(v, den) for v in part[: dn - 1]]) for part in (ar, ai)]
-        return quotient, GaussPoly.from_parts(*rem)
-
-    __mod__ = RatPoly.__mod__
-    exact_div = RatPoly.exact_div
-
     def monic(self) -> "GaussPoly":
-        return self if self.is_zero else divmod(self, self.leading_coefficient)[0]
+        if self.is_zero:
+            return self
+        return self * (GaussianRational(1) / self.leading_coefficient)
 
     def __repr__(self) -> str:
         return f"GaussPoly({list(self.coeffs)!r})"
@@ -539,19 +510,13 @@ def _as_gauss(value) -> GaussPoly:
     return GaussPoly([value])
 
 
-def _cleared_parts(p: GaussPoly, n: int) -> Tuple[int, List[int], List[int]]:
-    """(den, re, im): p's n lowest coefficients as integers over one denominator."""
-    den, ints = _cleared([part.coefficient(k) for part in (p.re, p.im) for k in range(n)])
-    return den, ints[:n], ints[n:]
-
-
 # ---------------------------------------------------------------------------
 # gcd, square-free decomposition, perfect squares, Wronskian
 # ---------------------------------------------------------------------------
 
 
 def poly_gcd(a, b):
-    """Monic gcd over the coefficient field (Euclid with monic remainders)."""
+    """Monic gcd of two RatPolys over the rationals (Euclid with monic remainders)."""
     if a.is_zero and b.is_zero:
         raise DegenerateInputError("gcd of two zero polynomials is undefined")
     while not b.is_zero:

@@ -38,13 +38,7 @@ from .errors import (
     InternalInconsistencyError,
     UnsupportedDegreeError,
 )
-from .polynomials import (
-    GaussPoly,
-    GaussianRational,
-    RatPoly,
-    poly_gcd,
-    wronskian,
-)
+from .polynomials import GaussPoly, GaussianRational, RatPoly, wronskian
 
 QUINTIC_MAX_DEGREE = 2
 
@@ -60,13 +54,11 @@ class DecompositionCase:
 
 class WronskianDecomposition(NamedTuple):
     """W = omega * z_squared in canonical form; fields are None when no
-    decomposition exists (the degenerate case).  hopf_gcd is gcd(z1, z2)
-    when the casework took it to choose between two readings, else None."""
+    decomposition exists (the degenerate case)."""
 
     case: str
     omega: Optional[RatPoly]
     z_squared: Optional[GaussPoly]
-    hopf_gcd: Optional[GaussPoly] = None
 
     @property
     def exists(self) -> bool:
@@ -157,33 +149,24 @@ def decompose_wronskian_quintic(
             DecompositionCase.BOTH_CONSTANT, RatPoly.one(), w
         )
 
-    real_split = _real_proportional_split(w)
+    # W = c (t - r)^2 exactly when t - r divides z1 and z2 (see
+    # monotone_test), so a square W is always the shared-factor reading
     square_split = _constant_square_split(w)
-
-    if real_split is not None and square_split is not None:
-        # both decompositions exist; prefer the shared-factor reading when
-        # there is one so the monotone characterization stays an equivalence
-        shared = poly_gcd(pair.z1, pair.z2)
-        if _nonconstant(shared) is None:
-            return _checked(DecompositionCase.Z_CONSTANT, real_split, w, shared)
-        return _checked(DecompositionCase.OMEGA_CONSTANT, square_split, w, shared)
     if square_split is not None:
         return _checked(DecompositionCase.OMEGA_CONSTANT, square_split, w)
+    real_split = _real_proportional_split(w)
     if real_split is not None:
         return _checked(DecompositionCase.Z_CONSTANT, real_split, w)
     return WronskianDecomposition(DecompositionCase.DEGENERATE, None, None)
 
 
 def _checked(
-    case: str,
-    split: Tuple[RatPoly, GaussPoly],
-    w: GaussPoly,
-    hopf_gcd: Optional[GaussPoly] = None,
+    case: str, split: Tuple[RatPoly, GaussPoly], w: GaussPoly
 ) -> WronskianDecomposition:
     omega, z_squared = split
     if omega * z_squared != w:
         raise InternalInconsistencyError("Wronskian decomposition does not multiply back")
-    return WronskianDecomposition(case, omega, z_squared, hopf_gcd)
+    return WronskianDecomposition(case, omega, z_squared)
 
 
 def _real_proportional_split(w: GaussPoly) -> Optional[Tuple[RatPoly, GaussPoly]]:
@@ -201,23 +184,49 @@ def _real_proportional_split(w: GaussPoly) -> Optional[Tuple[RatPoly, GaussPoly]
 
 
 def _constant_square_split(w: GaussPoly) -> Optional[Tuple[RatPoly, GaussPoly]]:
-    """W as 1 * (square of a linear complex polynomial): zero discriminant."""
-    if w.degree != 2:
-        return None
-    c2, c1, c0 = w.coefficient(2), w.coefficient(1), w.coefficient(0)
-    if c1 * c1 - 4 * c2 * c0:
+    """W as 1 * (square of a linear complex polynomial): a double root."""
+    if _double_root(w.coefficient(0), w.coefficient(1), w.coefficient(2)) is None:
         return None
     return RatPoly.one(), w
 
 
-def _nonconstant(g: GaussPoly) -> Optional[GaussPoly]:
-    return g if (g.degree or 0) >= 1 else None
+def _double_root(
+    c0: GaussianRational, c1: GaussianRational, c2: GaussianRational
+) -> Optional[GaussianRational]:
+    """r with c2 t^2 + c1 t + c0 = c2 (t - r)^2 and c2 != 0, else None."""
+    if not c2 or c1 * c1 != 4 * c0 * c2:
+        return None
+    return -c1 / (2 * c2)
 
 
 def monotone_test(pair: HopfPair) -> Optional[GaussPoly]:
-    """The non-constant monic gcd of (z1, z2) when one exists."""
+    """The non-constant monic gcd of (z1, z2) when one exists.
+
+    With W = z1'z2 - z1z2' not identically zero, t - r divides both z1 and
+    z2 exactly when W = c (t - r)^2 with c != 0.  One way,
+    W = (t - r)^2 (u'v - uv') with u, v of degree at most one.  The other:
+    f = z2(r) z1 - z1(r) z2 has f(r) = 0, f'(r) = W(r) = 0 and
+    f''(r) = W'(r) = 0, so f = 0, and z1(r), z2(r) not both zero would make
+    the pair proportional.  W's coefficients are 2x2 minors of the pair's
+    coefficients a, b; all of them vanish for a proportional pair, whose gcd
+    is its nonzero member made monic.
+    """
     _check_degrees(pair)
-    return _nonconstant(poly_gcd(pair.z1, pair.z2))
+    a = [pair.z1.coefficient(k) for k in range(3)]
+    b = [pair.z2.coefficient(k) for k in range(3)]
+    w0 = a[1] * b[0] - a[0] * b[1]
+    w1 = 2 * (a[2] * b[0] - a[0] * b[2])
+    w2 = a[2] * b[1] - a[1] * b[2]
+    if not (w0 or w1 or w2):
+        z = pair.z2 if pair.z1.is_zero else pair.z1
+        return z.monic() if z.degree else None
+    r = _double_root(w0, w1, w2)
+    if r is None:
+        return None
+    # Horner: z1(r) = z2(r) = 0
+    if (a[2] * r + a[1]) * r + a[0] or (b[2] * r + b[1]) * r + b[0]:
+        return None
+    return GaussPoly([-r, GaussianRational(1)])
 
 
 def quaternion_dependence(
@@ -356,11 +365,9 @@ def _route_case(
 ) -> QuinticClass:
     if not decomposition.exists:
         return QuinticClass(QuinticKind.NOT_HELIX)
-    g = decomposition.hopf_gcd
-    shared = monotone_test(pair) if g is None else _nonconstant(g)
-    # a non-constant g = gcd(z1, z2) makes W = g^2 * (u'v - uv') a constant
-    # times (t - r)^2, which the casework reads as constant omega; so omega
-    # is constant exactly when z1 and z2 share a factor
+    shared = monotone_test(pair)
+    # the casework reads the polynomial W, monotone_test the coefficients of
+    # z1 and z2; omega is constant exactly when z1 and z2 share a factor
     if (decomposition.case == DecompositionCase.OMEGA_CONSTANT) != (shared is not None):
         raise InternalInconsistencyError(
             "constant-omega decomposition without a shared Hopf factor"

@@ -25,7 +25,6 @@ rat_polys = st.lists(rationals, min_size=0, max_size=6).map(RatPoly)
 nonzero_rat_polys = rat_polys.filter(lambda p: not p.is_zero)
 gauss_rationals = st.builds(GaussianRational, rationals, rationals)
 gauss_polys = st.lists(gauss_rationals, min_size=0, max_size=5).map(GaussPoly)
-nonzero_gauss_polys = gauss_polys.filter(lambda p: not p.is_zero)
 quaternions = st.builds(Quaternion, rationals, rationals, rationals, rationals)
 quaternion_quadratics = (
     st.lists(quaternions, min_size=1, max_size=3)

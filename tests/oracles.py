@@ -4,9 +4,9 @@ Each one recomputes a value the library derives another way: the hodograph
 as the literal quaternion product A(t) * i * conj(A(t)), the speed as
 |A|^2 = |z1|^2 + |z2|^2, the Bernstein form evaluated directly, Horner's
 rule over any coefficient type, sums of products of reduced quotients
-over one common denominator, and polynomial products and Euclidean
-division one coefficient object at a time (the library splits Gaussian
-polynomials into rational parts and convolves integers instead).
+over one common denominator, and polynomial products one coefficient
+object at a time (the library splits Gaussian polynomials into rational
+parts and convolves integers instead).
 """
 
 from __future__ import annotations
@@ -56,27 +56,6 @@ def convolve(a, b, zero, mul=operator.mul, add=operator.add) -> list:
         for j, y in enumerate(b):
             out[i + j] = add(out[i + j], mul(x, y))
     return out
-
-
-def long_divmod(a, b, one) -> Tuple[list, list]:
-    """(quotient, remainder) lists of a / b over a field, b without trailing zeros.
-
-    Euclidean long division on the coefficient objects: each step divides
-    the remainder's top coefficient by b's leading one.
-    """
-    zero = one - one
-    rem = list(a)
-    dn = len(b)
-    if len(rem) < dn:
-        return [], rem
-    quot = [zero] * (len(rem) - dn + 1)
-    inv_lead = one / b[-1]
-    for k in range(len(rem) - dn, -1, -1):
-        c = rem[k + dn - 1] * inv_lead
-        quot[k] = c
-        for j, y in enumerate(b):
-            rem[k + j] = rem[k + j] - c * y
-    return quot, rem[: dn - 1]
 
 
 def _hamilton(a, b):

@@ -300,11 +300,11 @@ class TestOneAnalysisPerReport:
         assert len(counts["wronskians"]) == 1
         assert len(counts["reductions"]) == reductions
 
-    def test_shared_factor_gcd_taken_once(self, tmp_path, capsys, counts, monkeypatch):
-        # a real shared root gives W = c (t - 1)^2, which reads both as a
-        # constant omega and as a constant z; the gcd that chose the
-        # monotone reading is the one the report prints
-        gcds = _count_calls(monkeypatch, quintic, "poly_gcd")
+    def test_real_shared_root_reads_omega_constant(self, tmp_path, capsys, counts, monkeypatch):
+        # a real shared root gives W = c (t - 1)^2, which is also a complex
+        # constant times a real polynomial; the square reading wins, and
+        # monotone_test finds t - 1 from z1 and z2 alone
+        tests = _count_calls(monkeypatch, quintic, "monotone_test")
         doc = {
             "form": "hopf",
             "coefficients": {
@@ -316,7 +316,7 @@ class TestOneAnalysisPerReport:
         out = capsys.readouterr().out
         assert "decomposition: omega-constant" in out
         assert "shared factor gcd(z1, z2) = t - 1" in out
-        assert len(gcds) == 1
+        assert len(tests) == 1
         assert len(counts["wronskians"]) == 1
 
 

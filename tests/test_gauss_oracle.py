@@ -1,31 +1,22 @@
 """Differential tests of the GaussPoly kernel against coefficient-object references.
 
-A GaussPoly keeps its real and imaginary parts as two RatPolys: its products
-run through RatPoly's integer convolution, and its division works on integer
-numerators.  The references in oracles.py multiply and divide one
-GaussianRational at a time, the way a polynomial over any field would.  The
-two must agree exactly, on zero operands and on mixed RatPoly x GaussPoly
-products too.
+A GaussPoly keeps its real and imaginary parts as two RatPolys, and its
+products run through RatPoly's integer convolution.  The reference in
+oracles.py multiplies one GaussianRational at a time, the way a polynomial
+over any ring would.  The two must agree exactly, on zero operands and on
+mixed RatPoly x GaussPoly products too.
 """
 
-import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from conftest import (
-    gauss_polys,
-    gauss_rationals,
-    nonzero_gauss_polys,
-    nonzero_rat_polys,
-    rat_polys,
-)
-from oracles import convolve, long_divmod
-from phelix import DegenerateInputError, GaussPoly, GaussianRational
+from conftest import gauss_polys, gauss_rationals, rat_polys
+from oracles import convolve
+from phelix import GaussPoly, GaussianRational
 
 ZERO, ONE = GaussianRational(), GaussianRational(1)
 
 operands = st.one_of(gauss_polys, rat_polys)
-divisors = st.one_of(nonzero_gauss_polys, nonzero_rat_polys)
 
 
 def gauss_coeffs(p) -> list:
@@ -47,28 +38,6 @@ def test_product(a, b):
 @given(gauss_polys, gauss_rationals)
 def test_scalar_product(a, c):
     assert a * c == GaussPoly(convolve(gauss_coeffs(a), [c] if c else [], ZERO))
-
-
-@given(gauss_polys, divisors)
-def test_divmod(a, b):
-    quotient, remainder = long_divmod(gauss_coeffs(a), gauss_coeffs(b), ONE)
-    q, r = divmod(a, b)
-    assert q == GaussPoly(quotient)
-    assert r == GaussPoly(remainder)
-    assert a % b == r
-
-
-@given(gauss_polys, nonzero_gauss_polys)
-def test_exact_div(a, b):
-    assert (a * b).exact_div(b) == a
-    if not (a % b).is_zero:
-        with pytest.raises(DegenerateInputError):
-            a.exact_div(b)
-
-
-def test_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        divmod(GaussPoly([ONE]), GaussPoly())
 
 
 @given(gauss_polys)

@@ -1,20 +1,31 @@
-"""Differential tests of poly_gcd and RationalFunction reduction against sympy.
+"""Differential tests of poly_gcd, monotone_test and RationalFunction
+reduction against sympy.
 
-poly_gcd runs Euclid with monic remainders over the coefficient field, and
+poly_gcd runs Euclid with monic remainders over the rationals, and
 RationalFunction divides numerator and denominator by that gcd and makes
-the denominator primitive with a positive leading coefficient.  sympy's
-gcd and cancel reach the same results by other algorithms; the two must
-agree up to a unit, and after the normalization exactly.
+the denominator primitive with a positive leading coefficient.
+monotone_test reads gcd(z1, z2) of a Hopf pair of degree at most two off
+the double root of its Wronskian.  sympy's gcd and cancel reach the same
+results by other algorithms; the two must agree up to a unit, and after
+the normalization exactly.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from conftest import gauss_rationals, rationals
-from phelix import GaussPoly, GaussianRational, RatPoly, RationalFunction, poly_gcd
+from phelix import (
+    GaussPoly,
+    GaussianRational,
+    HopfPair,
+    RatPoly,
+    RationalFunction,
+    monotone_test,
+    poly_gcd,
+)
 
 sympy = pytest.importorskip("sympy")
 
@@ -23,8 +34,29 @@ T = sympy.Symbol("t")
 # the factors below multiply to degree at most 7
 factors = st.lists(rationals, min_size=1, max_size=4).map(RatPoly)
 cofactors = st.lists(rationals, min_size=1, max_size=5).map(RatPoly)
-gauss_factors = st.lists(gauss_rationals, min_size=1, max_size=3).map(GaussPoly)
-gauss_cofactors = st.lists(gauss_rationals, min_size=1, max_size=4).map(GaussPoly)
+
+
+def gauss_upto(degree: int):
+    return st.lists(gauss_rationals, max_size=degree + 1).map(GaussPoly)
+
+
+def _planted(r, u, v):
+    shared = GaussPoly([-r, GaussianRational(1)])
+    return shared * u, shared * v
+
+
+# Hopf pairs of degree at most two, as (z1, z2): a planted shared root
+# (real in about one draw in six), proportional pairs, one zero member,
+# degree-deficient pairs and random ones
+hopf_pairs = st.one_of(
+    st.builds(_planted, gauss_rationals, gauss_upto(1), gauss_upto(1)),
+    st.builds(_planted, rationals.map(GaussianRational), gauss_upto(1), gauss_upto(1)),
+    st.builds(lambda z, c: (z, z * c), gauss_upto(2), gauss_rationals),
+    st.builds(lambda z, first: (z, GaussPoly()) if first else (GaussPoly(), z),
+              gauss_upto(2), st.booleans()),
+    st.tuples(gauss_upto(1), gauss_upto(2)),
+    st.tuples(gauss_upto(2), gauss_upto(2)),
+)
 
 
 def to_sympy(p: RatPoly):
@@ -62,28 +94,25 @@ def gauss_from_sympy(poly) -> GaussPoly:
     )
 
 
-def assert_gcd_agrees(a, b, ours_to_sympy, sympy_to_ours):
-    ours = poly_gcd(a, b)
-    theirs = sympy_to_ours(sympy.gcd(ours_to_sympy(a), ours_to_sympy(b)))
-    # both are gcds of (a, b), so they agree up to a unit; poly_gcd is monic
-    assert ours == theirs.monic()
-    return ours
-
-
 @given(factors, cofactors, cofactors)
 def test_gcd_of_rational_polynomials(g, p, q):
     a, b = g * p, g * q
     assume(not (a.is_zero and b.is_zero))
-    ours = assert_gcd_agrees(a, b, to_sympy, from_sympy)
+    ours = poly_gcd(a, b)
+    # both are gcds of (a, b), so they agree up to a unit; poly_gcd is monic
+    assert ours == from_sympy(sympy.gcd(to_sympy(a), to_sympy(b))).monic()
     assert (ours % g).is_zero
 
 
-@given(gauss_factors, gauss_cofactors, gauss_cofactors)
-def test_gcd_of_gaussian_polynomials(g, p, q):
-    a, b = g * p, g * q
-    assume(not (a.is_zero and b.is_zero))
-    ours = assert_gcd_agrees(a, b, gauss_to_sympy, gauss_from_sympy)
-    assert (ours % g).is_zero
+@settings(max_examples=200)
+@given(hopf_pairs)
+def test_monotone_test_is_the_gaussian_gcd(pair):
+    z1, z2 = pair
+    assume(not (z1.is_zero and z2.is_zero))
+    expected = gauss_from_sympy(sympy.gcd(gauss_to_sympy(z1), gauss_to_sympy(z2)))
+    # sympy's gcd is a gcd up to a unit; monotone_test keeps a monic one of
+    # positive degree
+    assert monotone_test(HopfPair(z1, z2)) == (expected.monic() if expected.degree else None)
 
 
 @given(factors, cofactors, cofactors)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_quaternion_quadratic, seeded
+from conftest import rand_fraction, rand_gaussian, rand_quaternion_quadratic, seeded
 from oracles import abs_squared, predicted_dependence
 from phelix import (
     DegenerateInputError,
@@ -44,6 +44,14 @@ class _Scripted(random.Random):
 
     def randint(self, a, b):
         return self.script.pop(0) if self.script else super().randint(a, b)
+
+
+def random_gauss_upto(rng, degree):
+    """A Gaussian polynomial of degree at most degree; each coefficient is
+    zero one time in three, so zero and degree-deficient members occur."""
+    return GaussPoly(
+        [rand_gaussian(rng) if rng.randrange(3) else G(0) for _ in range(degree + 1)]
+    )
 
 
 EXAMPLE1 = QuaternionPolynomial(
@@ -150,6 +158,49 @@ class TestMonotoneTest:
         z1 = GaussPoly([G(2), G(-3), G(1)])
         z2 = GaussPoly([G(3), G(-4), G(1)])
         assert monotone_test(HopfPair(z1, z2)) == GaussPoly([G(-1), G(1)])
+
+    def test_proportional_pair(self):
+        # W vanishes, so the gcd is either member made monic
+        z1 = GaussPoly([G(0, 2), G(2, 2), G(2)])  # 2 (t + 1)(t + i)
+        pair = HopfPair(z1, GaussPoly([G(1, -3)]) * z1)
+        assert monotone_test(pair) == GaussPoly([G(0, 1), G(1, 1), G(1)])
+        constants = HopfPair(GaussPoly([G(3)]), GaussPoly([G(0, 6)]))
+        assert monotone_test(constants) is None
+
+    def test_pair_with_a_zero_polynomial(self):
+        z = GaussPoly([G(1), G(0, 2), G(4)])
+        monic = GaussPoly([G("1/4"), G(0, "1/2"), G(1)])
+        assert monotone_test(HopfPair(z, GaussPoly())) == monic
+        assert monotone_test(HopfPair(GaussPoly(), z)) == monic
+        assert monotone_test(HopfPair(GaussPoly(), GaussPoly([G(0, 5)]))) is None
+
+    def test_omega_constant_iff_shared_root_iff_double_root(self):
+        # with W nonzero, omega is constant exactly when z1 and z2 share a
+        # root exactly when W = c (t - r)^2 with c nonzero; half the pairs
+        # get a planted shared root, real one time in four
+        rng = seeded(61)
+        shared = 0
+        for k in range(200):
+            if k % 2:
+                z1, z2 = (random_gauss_upto(rng, 2) for _ in range(2))
+            else:
+                r = rand_gaussian(rng) if k % 8 else G(rand_fraction(rng))
+                factor = GaussPoly([-r, G(1)])
+                z1, z2 = (factor * random_gauss_upto(rng, 1) for _ in range(2))
+            if z1.is_zero and z2.is_zero:
+                continue
+            pair = HopfPair(z1, z2)
+            w = wronskian(z1, z2)
+            if w.is_zero:
+                continue
+            c0, c1, c2 = (w.coefficient(i) for i in range(3))
+            double_root = bool(c2) and c1 * c1 == 4 * c0 * c2
+            omega_constant = (
+                decompose_wronskian_quintic(pair).case == DecompositionCase.OMEGA_CONSTANT
+            )
+            assert omega_constant == (monotone_test(pair) is not None) == double_root
+            shared += double_root
+        assert 50 < shared < 150
 
 
 class TestQuaternionDependence:
