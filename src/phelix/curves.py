@@ -1,16 +1,19 @@
 """Curve representations and exact conversions between them.
 
-Three equivalent encodings of a spatial hodograph are supported:
+Every quaternionic input reaches its hodograph through the Hopf pair:
 
-* a quaternion polynomial A(t) = u + i v + j p + k q, which produces the
-  hodograph through the product A(t) * i * conj(A(t));
-* a Hopf pair (z1, z2) = (u + i v, q + i p) of complex polynomials, which
-  produces the same hodograph through (|z1|^2 - |z2|^2, 2 * z1 * conj(z2));
-* the raw component polynomials (x', y', z'), which carry no structure and
-  are what non-quaternionic inputs (e.g. a curve given directly) reduce to.
+* a Hopf pair (z1, z2) of complex polynomials produces the hodograph through
+  the Hopf map (|z1|^2 - |z2|^2, 2 * z1 * conj(z2)), written out only in
+  ``hodograph_from_hopf``;
+* a quaternion polynomial A(t) = u + i v + j p + k q encodes the pair
+  (z1, z2) = (u + i v, q + i p), whose Hopf map is A(t) * i * conj(A(t));
+  Bezier control quaternions are a basis change of A(t);
+* the raw component polynomials (x', y', z') carry no structure and are
+  what non-quaternionic inputs (e.g. a curve given directly) reduce to.
 
 The first two guarantee the Pythagorean property by construction; the raw
 form is accepted even when that property fails, and analysis detects it.
+A ``Quaternion`` takes a scalar on either side of +, - and *.
 """
 
 from __future__ import annotations
@@ -75,6 +78,13 @@ class Quaternion:
             self.w - other.w, self.x - other.x, self.y - other.y, self.z - other.z
         )
 
+    def __rsub__(self, other) -> "Quaternion":
+        try:
+            other = Quaternion.coerce(other)
+        except TypeError:
+            return NotImplemented
+        return other - self
+
     def __mul__(self, other) -> "Quaternion":
         try:
             other = Quaternion.coerce(other)
@@ -110,19 +120,6 @@ class Quaternion:
 
     def __repr__(self) -> str:
         return f"Quaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
-
-    def __str__(self) -> str:
-        parts = []
-        for value, unit in zip(self.components(), ("", "i", "j", "k")):
-            if not value:
-                continue
-            mag = abs(value)
-            body = unit if (mag == 1 and unit) else f"{mag}{unit}"
-            if not parts:
-                parts.append(f"-{body}" if value < 0 else body)
-            else:
-                parts.append(f" - {body}" if value < 0 else f" + {body}")
-        return "".join(parts) if parts else "0"
 
 
 class QuaternionPolynomial:
@@ -178,17 +175,6 @@ class QuaternionPolynomial:
 
     def __repr__(self) -> str:
         return f"QuaternionPolynomial({list(self.coeffs)!r})"
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k, c in reversed(list(enumerate(self.coeffs))):
-            if not c:
-                continue
-            power = "" if k == 0 else ("t" if k == 1 else f"t^{k}")
-            parts.append(f"({c!s}){power}" if power else f"({c!s})")
-        return " + ".join(parts)
 
 
 class HopfPair:
@@ -284,19 +270,15 @@ class PolynomialCurve:
 
 
 def hodograph_from_quaternion(a: QuaternionPolynomial) -> Hodograph:
-    """Component form of A(t) * i * conj(A(t)).
+    """Component form of A(t) * i * conj(A(t)), read through the Hopf pair.
 
-    x' = u^2 + v^2 - p^2 - q^2, y' = 2(uq + vp), z' = 2(vq - up); the speed
-    identity x'^2 + y'^2 + z'^2 = (u^2 + v^2 + p^2 + q^2)^2 holds exactly.
+    x' = u^2 + v^2 - p^2 - q^2, y' = 2(uq + vp), z' = 2(vq - up) is the Hopf
+    map of (z1, z2) = (u + i v, q + i p); the speed identity
+    x'^2 + y'^2 + z'^2 = (u^2 + v^2 + p^2 + q^2)^2 holds exactly.
     """
     if a.is_zero:
         raise DegenerateInputError("zero quaternion polynomial defines no curve")
-    u, v, p, q = a.component_polys()
-    return Hodograph(
-        u * u + v * v - p * p - q * q,
-        2 * (u * q + v * p),
-        2 * (v * q - u * p),
-    )
+    return hodograph_from_hopf(hopf_from_quaternion(a))
 
 
 def hopf_from_quaternion(a: QuaternionPolynomial) -> HopfPair:

@@ -38,7 +38,6 @@ from .curves import (
     QuaternionPolynomial,
     bezier_to_power,
     hodograph_from_hopf,
-    hodograph_from_quaternion,
     hopf_from_quaternion,
     integrate,
 )
@@ -123,9 +122,7 @@ class CurveSpec(NamedTuple):
             return self.payload
         if self.form == "curve":
             return self.payload.hodograph()
-        if self.form == "hopf":
-            return hodograph_from_hopf(self.payload)
-        return hodograph_from_quaternion(self.quaternion_form())
+        return hodograph_from_hopf(self.hopf_form())
 
     def curve(self) -> PolynomialCurve:
         """The integrated curve (the curve form keeps its own constants)."""

@@ -118,6 +118,13 @@ class GaussianRational:
             return NotImplemented
         return GaussianRational(self.re - other.re, self.im - other.im)
 
+    def __rsub__(self, other) -> "GaussianRational":
+        try:
+            other = GaussianRational.coerce(other)
+        except TypeError:
+            return NotImplemented
+        return other - self
+
     def __neg__(self) -> "GaussianRational":
         return GaussianRational(-self.re, -self.im)
 
@@ -142,6 +149,13 @@ class GaussianRational:
         if not n:
             raise ZeroDivisionError("division by zero Gaussian rational")
         return self * other.conjugate() * GaussianRational(Fraction(1, 1) / n)
+
+    def __rtruediv__(self, other) -> "GaussianRational":
+        try:
+            other = GaussianRational.coerce(other)
+        except TypeError:
+            return NotImplemented
+        return other / self
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (GaussianRational, Fraction, int)):
@@ -248,6 +262,12 @@ class RatPoly:
             return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
         return RatPoly([self.coefficient(k) - other.coefficient(k) for k in range(n)])
+
+    def __rsub__(self, other):
+        other = self._as_same(other)
+        if other is None:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
         # integer convolution with one normalization per output coefficient;
@@ -470,6 +490,9 @@ class GaussPoly:
     def __sub__(self, other) -> "GaussPoly":
         other = _as_gauss(other)
         return GaussPoly.from_parts(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other) -> "GaussPoly":
+        return _as_gauss(other) - self
 
     def __mul__(self, other) -> "GaussPoly":
         other = _as_gauss(other)

@@ -296,12 +296,11 @@ def constant_z_parameters(a: QuaternionPolynomial) -> ConstantZParameters:
     m0_over_m1 = m2_over_m1 = None
     try:
         dec = decompose_wronskian_quintic(hopf_from_quaternion(a))
-    except (DegenerateInputError, UnsupportedDegreeError):
+    except DegenerateInputError:
         dec = None
     if (
         dec is not None
         and dec.case in (DecompositionCase.Z_CONSTANT, DecompositionCase.BOTH_CONSTANT)
-        and dec.omega is not None
         and dec.omega.coefficient(1)
     ):
         omega = dec.omega
@@ -321,11 +320,9 @@ def classify_quintic(curve: CurveInput) -> ClassificationReport:
     InternalInconsistencyError rather than returning a report.
     """
     if isinstance(curve, QuaternionPolynomial):
-        quat = curve
         pair = hopf_from_quaternion(curve)
     elif isinstance(curve, HopfPair):
         pair = curve
-        quat = quaternion_from_hopf(curve)
     else:
         raise TypeError(f"expected a quaternion polynomial or Hopf pair, got {curve!r}")
     _check_degrees(pair)
@@ -345,7 +342,7 @@ def classify_quintic(curve: CurveInput) -> ClassificationReport:
         )
 
     decomposition = decompose_wronskian_quintic(pair, w)
-    quintic_class = _route_case(decomposition, pair, quat)
+    quintic_class = _route_case(decomposition, pair)
 
     report = ClassificationReport(analysis, w, decomposition, quintic_class)
     decomposable = decomposition.exists
@@ -360,9 +357,7 @@ def classify_quintic(curve: CurveInput) -> ClassificationReport:
     return report
 
 
-def _route_case(
-    decomposition: WronskianDecomposition, pair: HopfPair, quat: QuaternionPolynomial
-) -> QuinticClass:
+def _route_case(decomposition: WronskianDecomposition, pair: HopfPair) -> QuinticClass:
     if not decomposition.exists:
         return QuinticClass(QuinticKind.NOT_HELIX)
     shared = monotone_test(pair)
@@ -376,8 +371,8 @@ def _route_case(
         )
     if shared is not None:
         return QuinticClass(QuinticKind.MONOTONE_HELIX, shared_factor=shared)
-    a0, a1, a2 = _quadratic_coefficients(quat)
-    dependence = quaternion_dependence(a0, a1, a2)
+    quat = quaternion_from_hopf(pair)
+    dependence = quaternion_dependence(*(quat.coefficient(k) for k in range(3)))
     # dependence can legitimately be absent when the Wronskian's linear
     # coefficient vanishes (m1 = 0); the curve is still a helix
     return QuinticClass(QuinticKind.GENERAL_HELIX, dependence=dependence)

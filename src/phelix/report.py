@@ -55,14 +55,13 @@ def _verdict_doc(v: HelixVerdict) -> dict:
 
 
 def analyze_spec(spec: CurveSpec) -> Tuple[CurveAnalysis, Optional[ClassificationReport]]:
-    """The analysis of a spec's curve and, for quintic forms (quaternion, or
-    Hopf of degree <= 2), the classification that carries that analysis."""
-    curve = spec.quaternion_form()
-    if curve is None:
-        curve = spec.hopf_form()
-        if curve is None or curve.degree > QUINTIC_MAX_DEGREE:
-            return analyze(spec.hodograph()), None
-    classification = classify_quintic(curve)
+    """The analysis of a spec's curve and, when the spec has a Hopf pair of
+    degree <= 2 (every quaternion and Bezier spec, and quintic Hopf specs),
+    the classification of that pair, which carries that analysis."""
+    pair = spec.hopf_form()
+    if pair is None or pair.degree > QUINTIC_MAX_DEGREE:
+        return analyze(spec.hodograph()), None
+    classification = classify_quintic(pair)
     return classification.analysis, classification
 
 

@@ -13,7 +13,19 @@ import phelix.analysis as analysis
 import phelix.cli
 import phelix.quintic as quintic
 import phelix.references as references
-from phelix import InternalInconsistencyError, RatPoly, classify_quintic, perfect_square_root
+from conftest import rand_quaternion_quadratic, seeded
+from phelix import (
+    InternalInconsistencyError,
+    Quaternion,
+    QuaternionPolynomial,
+    RatPoly,
+    classify_quintic,
+    generate_general_quintic,
+    generate_monotone_quintic,
+    hopf_from_quaternion,
+    perfect_square_root,
+    quaternion_from_hopf,
+)
 from phelix.analysis import HelixKind, HelixVerdict
 from phelix.cli import MAX_COUNT, MAX_HEIGHT, MAX_PRECISION, MAX_SAMPLES, main
 from phelix.references import reference_curve
@@ -413,6 +425,52 @@ class TestHopfAboveQuintic:
         assert "(tau/kappa)^2 = 1/2 (constant)" in out
         assert "  slope^2 = 1/3" in out
         assert "classification:" not in out
+
+
+def _cross_form_curves():
+    """Quaternion quadratics: random ones (almost never helices), sampled
+    monotone and general helices, and fixed planar, proportional, linear
+    and constant ones."""
+    rng = seeded(20)
+    curves = [rand_quaternion_quadratic(rng) for _ in range(12)]
+    for _ in range(8):
+        curves.append(quaternion_from_hopf(generate_monotone_quintic(rng, height=6)))
+        curves.append(generate_general_quintic(rng, height=6))
+    a0, a1 = Quaternion(1, 2, -1, 3), Quaternion(0, 1, 1, -2)
+    curves.append(parse_spec(PLANAR_DOC).payload)
+    curves.append(QuaternionPolynomial([a0, a0]))
+    curves.append(QuaternionPolynomial([a0, a1]))
+    curves.append(QuaternionPolynomial([a0]))
+    return curves
+
+
+class TestQuaternionFormsReadThroughTheHopfPair:
+    """A quaternion polynomial, its Bezier control points and its Hopf pair
+    encode one curve, so classify reports the same apart from ``input``, and
+    the curve's hodograph spec reports the same analysis."""
+
+    @staticmethod
+    def classify(doc, tmp_path, capsys):
+        code = main(["classify", "--format", "json", write_doc(tmp_path, doc)])
+        report = json.loads(capsys.readouterr().out)
+        del report["input"]
+        return code, report
+
+    def test_same_report(self, tmp_path, capsys):
+        for quat in _cross_form_curves():
+            a0, a1, a2 = (quat.coefficient(k) for k in range(3))
+            specs = [
+                CurveSpec("quaternion", quat),
+                CurveSpec("bezier-quaternion", (a0, a0 + a1 * Fraction(1, 2), a0 + a1 + a2)),
+                CurveSpec("hopf", hopf_from_quaternion(quat)),
+            ]
+            results = [self.classify(spec_to_doc(spec), tmp_path, capsys) for spec in specs]
+            assert results[1] == results[0], quat
+            assert results[2] == results[0], quat
+            assert "classification" in results[0][1]
+            hodograph = spec_to_doc(CurveSpec("hodograph", specs[0].hodograph()))
+            _, report = self.classify(hodograph, tmp_path, capsys)
+            assert report["analysis"] == results[0][1]["analysis"], quat
 
 
 class TestAnalyze:

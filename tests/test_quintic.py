@@ -255,6 +255,24 @@ class TestConstantZParameters:
         assert params.tan_two_theta is None
         assert params.m1_squared == 0
 
+    def test_omega_constant_has_no_weight_ratios(self):
+        params = constant_z_parameters(EXAMPLE1)
+        assert params.m0_over_m1 is None and params.m2_over_m1 is None
+
+    def test_proportional_pair_has_no_weight_ratios(self):
+        # A(t) = (1 + t) A0 makes z1, z2 proportional: W vanishes identically
+        a0 = Quaternion(1, 2, -1, 3)
+        a = QuaternionPolynomial([a0, a0])
+        pair = hopf_from_quaternion(a)
+        assert wronskian(pair.z1, pair.z2).is_zero
+        params = constant_z_parameters(a)
+        assert params.m0_over_m1 is None and params.m2_over_m1 is None
+
+    def test_cubic_is_unsupported(self):
+        cubic = QuaternionPolynomial([Quaternion(1), Quaternion(), Quaternion(), Quaternion(0, 1)])
+        with pytest.raises(UnsupportedDegreeError):
+            constant_z_parameters(cubic)
+
     def test_prediction_matches_linear_solve(self):
         rng = seeded(99)
         for _ in range(30):
