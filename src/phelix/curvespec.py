@@ -245,7 +245,9 @@ def parse_spec(doc) -> CurveSpec:
                 raise SpecParseError("quaternion polynomial is identically zero")
         else:
             payload = tuple(quats)
-            if bezier_to_power(payload).is_zero:
+            # the Bernstein polynomials are a basis: the curve is zero exactly
+            # when every control is
+            if all(q.is_zero for q in quats):
                 raise SpecParseError("control quaternions are all zero")
         return CurveSpec(form, payload, origin)
 

@@ -12,12 +12,14 @@ pair of RatPolys (real and imaginary parts), and a quaternion polynomial
 
 A RatPoly also carries an integer form (den, ints) with coeffs = ints / den.
 den is any positive common denominator, not necessarily the least.  The
-form is set in two places only: on first read, by ``_cleared``, and by
-``__mul__``, whose product already holds (d1 * d2, convolution).  Products,
-``evaluate``, ``primitive_positive`` and ``perfect_square_root`` read it, so
-a chain of products clears each input's denominators once.  ``coeffs``
-stays the canonical tuple of reduced Fractions; equality, hashing and
-rendering read only that.
+form is set on first read, by ``_cleared``, or handed on by the arithmetic
+that made the polynomial: ``__mul__`` holds (d1 * d2, convolution), the sum
+kernel behind ``__add__`` and ``__sub__`` holds the ints added over
+lcm(d1, d2), and ``derivative`` holds (den, k * ints[k]).  Products, sums,
+``evaluate``, ``primitive_positive`` and ``perfect_square_root`` read it,
+so a chain of ring operations clears each input's denominators once.
+``coeffs`` stays the canonical tuple of reduced Fractions; equality,
+hashing and rendering read only that.
 
 The normal forms are:
 
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, List, Optional, Tuple, Union
 
 from .errors import DegenerateInputError
@@ -208,6 +211,14 @@ class RatPoly:
             form = self._form = _cleared(self.coeffs)
         return form
 
+    @staticmethod
+    def _from_form(den: int, ints: List[int]) -> "RatPoly":
+        """The RatPoly ints / den, carrying that form; ints has no trailing zeros."""
+        p = RatPoly.__new__(RatPoly)
+        p.coeffs = tuple([Fraction(v, den) for v in ints])
+        p._form = (den, ints)
+        return p
+
     # -- construction helpers ------------------------------------------------
 
     @classmethod
@@ -251,8 +262,7 @@ class RatPoly:
         other = self._as_same(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RatPoly([self.coefficient(k) + other.coefficient(k) for k in range(n)])
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
@@ -260,14 +270,33 @@ class RatPoly:
         other = self._as_same(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RatPoly([self.coefficient(k) - other.coefficient(k) for k in range(n)])
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         other = self._as_same(other)
         if other is None:
             return NotImplemented
         return other - self
+
+    def _sum(self, other: "RatPoly", sign: int) -> "RatPoly":
+        # self + sign * other on the integer forms: equal denominators add
+        # the ints, others scale both to lcm(d1, d2).  Cancellation may leave
+        # trailing zeros, which the normal form strips.
+        d1, a = self._integer_form()
+        d2, b = other._integer_form()
+        den = d1
+        if d1 != d2:
+            g = math.gcd(d1, d2)
+            den = d1 // g * d2
+            a = [v * (d2 // g) for v in a]
+            b = [v * (d1 // g) for v in b]
+        if sign > 0:
+            ints = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+        else:
+            ints = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
+        while ints and not ints[-1]:
+            ints.pop()
+        return RatPoly._from_form(den, ints)
 
     def __mul__(self, other):
         # integer convolution with one normalization per output coefficient;
@@ -281,13 +310,8 @@ class RatPoly:
             return RatPoly()
         d1, a = self._integer_form()
         d2, b = other._integer_form()
-        den = d1 * d2
-        ints = _convolve(a, b)
         # the leading entry is a product of two nonzero ones: no trailing zeros
-        product = RatPoly.__new__(RatPoly)
-        product.coeffs = tuple([Fraction(v, den) for v in ints])
-        product._form = (den, ints)
-        return product
+        return RatPoly._from_form(d1 * d2, _convolve(a, b))
 
     __rmul__ = __mul__
 
@@ -317,7 +341,9 @@ class RatPoly:
     # -- calculus --------------------------------------------------------------
 
     def derivative(self) -> "RatPoly":
-        return RatPoly([k * c for k, c in enumerate(self.coeffs)][1:])
+        # k * c_k over the same denominator; the leading k * c_n is nonzero
+        den, ints = self._integer_form()
+        return RatPoly._from_form(den, [k * ints[k] for k in range(1, len(ints))])
 
     def antiderivative(self) -> "RatPoly":
         """Term-wise antiderivative with zero constant term."""
@@ -673,7 +699,12 @@ def perfect_square_root(p: RatPoly) -> Optional[ScaledSqrt]:
             return None
     if _convolve(q, q) != target:
         return None
-    return ScaledSqrt(content, RatPoly(q))
+    # target is primitive, so q is too, and lead > 0: q is already the
+    # normal body, which ScaledSqrt.__init__ would only normalize again
+    root = ScaledSqrt.__new__(ScaledSqrt)
+    root.scale = content
+    root.body = RatPoly._from_form(1, q)
+    return root
 
 
 def wronskian(z1, z2):

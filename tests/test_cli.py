@@ -11,6 +11,7 @@ import pytest
 
 import phelix.analysis as analysis
 import phelix.cli
+import phelix.curvespec as curvespec
 import phelix.quintic as quintic
 import phelix.references as references
 from conftest import rand_quaternion_quadratic, seeded
@@ -48,6 +49,13 @@ EXAMPLE1_DOC = {
         ["1", "1", "-2", "1"],
     ],
 }
+
+# example1's control quaternions: b0 = a0, b1 = a0 + a1/2, b2 = a0 + a1 + a2
+EXAMPLE1_BEZIER = [
+    ["0", "10", "5", "10"],
+    ["-3/2", "15/2", "13/2", "11/2"],
+    ["-2", "6", "6", "2"],
+]
 
 DEGREE7_DOC = {
     "form": "curve",
@@ -330,6 +338,20 @@ class TestOneAnalysisPerReport:
         assert "shared factor gcd(z1, z2) = t - 1" in out
         assert len(tests) == 1
         assert len(counts["wronskians"]) == 1
+
+    def test_bezier_spec_converted_once(self, tmp_path, capsys, monkeypatch):
+        # parse_spec tests the controls for zero itself; only the report
+        # converts them to the power basis
+        conversions = _count_calls(monkeypatch, curvespec, "bezier_to_power")
+        doc = {"form": "bezier-quaternion", "coefficients": EXAMPLE1_BEZIER}
+        assert main(["classify", write_doc(tmp_path, doc)]) == 0
+        assert "monotone-helix" in capsys.readouterr().out
+        assert len(conversions) == 1
+
+    def test_all_zero_bezier_controls_rejected(self, tmp_path, capsys):
+        doc = {"form": "bezier-quaternion", "coefficients": [["0", "0", "0", "0"]] * 3}
+        assert main(["classify", write_doc(tmp_path, doc)]) == 1
+        assert "control quaternions are all zero" in capsys.readouterr().err
 
 
 # Exit code 3 is reserved for two routes that disagree.  Each fault breaks

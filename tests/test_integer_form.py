@@ -2,19 +2,22 @@
 
 A RatPoly holds (den, ints) with coeffs = ints / den, where den is any
 positive common denominator: it is cleared on first read, or set by the
-product that made the polynomial.  Polynomials are built here through
-products, powers, sums, differences, derivatives, divisions and the parts
-of Gaussian products.  Every result's form must equal its coefficients in
+product, sum, difference or derivative that made the polynomial.
+Polynomials are built here through products, powers, sums, differences
+(cancelling ones among them), derivatives, divisions and the parts of
+Gaussian products.  Every result's form must equal its coefficients in
 value, and every reader of the form (``evaluate``, ``primitive_positive``,
 ``perfect_square_root``) must answer as it does on a fresh
 ``RatPoly(p.coeffs)``, whose form is cleared from the lcm of the
 denominators.  Products are also checked coefficient by coefficient
 against a Fraction convolution, so a wrong denominator that a product's
-coefficients and form share still shows.
+coefficients and form share still shows.  A sum that cancels must leave
+the normal form: no trailing zeros, and degree None for zero.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
@@ -22,7 +25,7 @@ from conftest import rat_polys
 from oracles import convolve
 from phelix import GaussPoly, RatPoly, perfect_square_root
 
-OPS = ("mul", "pow", "add", "sub", "derivative", "divmod", "gauss")
+OPS = ("mul", "pow", "add", "sub", "cancel", "derivative", "divmod", "gauss")
 POINTS = (Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 5), Fraction(-7, 4))
 MAX_DEGREE = 24
 
@@ -58,6 +61,10 @@ def apply(op, a: RatPoly, b: RatPoly, n: int) -> list:
         return [a + b]
     if op == "sub":
         return [a - b]
+    if op == "cancel":
+        out = a - a
+        assert out.is_zero and out.degree is None
+        return [out]
     if op == "derivative":
         return [a.derivative()]
     if op == "divmod":
@@ -114,3 +121,28 @@ def test_square_of_any_built_polynomial_has_its_root(pool, ops):
         assert root is not None
         assert root == perfect_square_root(RatPoly(square.coeffs))
         check_form(square)
+
+
+T = RatPoly([0, 1])
+P = RatPoly([Fraction(1, 3), Fraction(-5, 6), 0, Fraction(7, 4)])
+
+
+@pytest.mark.parametrize(
+    "result, degree",
+    [
+        (P - P, None),
+        (P + (-1) * P, None),
+        ((T * T + T) - T * T, 1),
+        ((Fraction(1, 6) * T + Fraction(1, 4)) + (Fraction(1, 10) * T - Fraction(1, 4)), 1),
+        (RatPoly([Fraction(5, 7)]).derivative(), None),
+        (RatPoly().derivative(), None),
+    ],
+    ids=["p-p", "p+(-p)", "t2+t-t2", "unequal-dens", "constant-derivative", "zero-derivative"],
+)
+def test_cancellation_keeps_the_normal_form(result, degree):
+    fresh = RatPoly(result.coeffs)
+    assert result == fresh
+    assert hash(result) == hash(fresh)
+    assert result.degree == degree
+    check_form(result)
+    check_readers(result)

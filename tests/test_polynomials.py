@@ -336,6 +336,22 @@ class TestPerfectSquare:
         assert root is not None
         assert root.scale * (root.body * root.body) == p
 
+    @given(
+        nonzero_rat_polys,
+        rationals.filter(lambda c: c != 0),
+        rationals.filter(lambda c: c > 0),
+    )
+    def test_root_is_already_normal(self, q, k, c):
+        # k * q has any content, negative included, and c keeps the square
+        # rational and non-primitive; the root the kernel builds without
+        # ScaledSqrt's normalization must be the one that normalization gives
+        q = k * q
+        root = perfect_square_root(c * q * q)
+        assert root == ScaledSqrt(root.scale, root.body)
+        assert root == ScaledSqrt(c, q)
+        den, ints = root.body._integer_form()
+        assert tuple(Fraction(v, den) for v in ints) == root.body.coeffs
+
     @given(nonzero_rat_polys, rationals)
     def test_adjoined_odd_root_kills_squareness(self, q, r):
         p = q * q * RatPoly([-r, 1])
