@@ -155,7 +155,7 @@ class QuaternionPolynomial:
     @property
     def degree(self) -> Optional[int]:
         """Degree, or None for the zero polynomial."""
-        return max((c.degree for c in self.component_polys() if c.coeffs), default=None)
+        return max((c.degree for c in self.component_polys() if not c.is_zero), default=None)
 
     @property
     def coeffs(self) -> Tuple[Quaternion, ...]:

@@ -10,16 +10,20 @@ product runs through its integer convolution.  A :class:`GaussPoly` is a
 pair of RatPolys (real and imaginary parts), and a quaternion polynomial
 (``curves.QuaternionPolynomial``) is four of them.
 
-A RatPoly also carries an integer form (den, ints) with coeffs = ints / den.
-den is any positive common denominator, not necessarily the least.  The
-form is set on first read, by ``_cleared``, or handed on by the arithmetic
-that made the polynomial: ``__mul__`` holds (d1 * d2, convolution), the sum
-kernel behind ``__add__`` and ``__sub__`` holds the ints added over
-lcm(d1, d2), and ``derivative`` holds (den, k * ints[k]).  Products, sums,
-``evaluate``, ``primitive_positive`` and ``perfect_square_root`` read it,
-so a chain of ring operations clears each input's denominators once.
-``coeffs`` stays the canonical tuple of reduced Fractions; equality,
-hashing and rendering read only that.
+A RatPoly has two views of one value: ``coeffs``, the canonical tuple of
+reduced Fractions, and an integer form (den, ints) with coeffs = ints / den,
+den any positive common denominator, not necessarily the least.  Each view
+is derived from the other at most once, on its first read.  A polynomial
+built from coefficients holds the tuple, and ``_cleared`` gives its form.
+The arithmetic hands on only the form: ``__mul__`` makes (d1 * d2,
+convolution), the sum kernel behind ``__add__`` and ``__sub__`` the ints
+added over lcm(d1, d2), ``derivative`` (den, k * ints[k]) and
+``perfect_square_root`` its integer root over 1.  Products, sums,
+``evaluate``, ``primitive_positive`` and ``perfect_square_root`` read the
+form, so a chain of ring operations clears each input's denominators once
+and builds no Fraction.  The structure queries (``is_zero``, ``degree``,
+``leading_coefficient``, ``coefficient``) and ``==`` read whichever view
+exists; hashing, division, ``monic`` and rendering read the tuple.
 
 The normal forms are:
 
@@ -195,29 +199,44 @@ def _format_imaginary(value: Fraction) -> str:
 class RatPoly:
     """Dense univariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("coeffs", "_form")
+    __slots__ = ("_coeffs", "_form")
 
     def __init__(self, coeffs: Iterable[RatLike] = ()):
         cs = [as_fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        self.coeffs = tuple(cs)
+        self._coeffs = tuple(cs)
         self._form = None
+
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        """Ascending reduced coefficients; built from the form at most once."""
+        cs = self._coeffs
+        if cs is None:
+            den, ints = self._form
+            cs = self._coeffs = tuple([Fraction(v, den) for v in ints])
+        return cs
 
     def _integer_form(self) -> Tuple[int, List[int]]:
         """(den, ints) with coeffs = ints / den; read-only, cleared at most once."""
         form = self._form
         if form is None:
-            form = self._form = _cleared(self.coeffs)
+            form = self._form = _cleared(self._coeffs)
         return form
 
     @staticmethod
     def _from_form(den: int, ints: List[int]) -> "RatPoly":
-        """The RatPoly ints / den, carrying that form; ints has no trailing zeros."""
+        """The RatPoly ints / den, holding only that form; ints has no trailing zeros."""
         p = RatPoly.__new__(RatPoly)
-        p.coeffs = tuple([Fraction(v, den) for v in ints])
+        p._coeffs = None
         p._form = (den, ints)
         return p
+
+    def _entries(self):
+        # whichever view exists: the tuple or the ints have the same length
+        # and the same zero entries, so structure reads either
+        cs = self._coeffs
+        return self._form[1] if cs is None else cs
 
     # -- construction helpers ------------------------------------------------
 
@@ -229,24 +248,29 @@ class RatPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._entries()
 
     @property
     def degree(self) -> Optional[int]:
         """Degree, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        n = len(self._entries())
+        return n - 1 if n else None
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
+        if self.is_zero:
             raise DegenerateInputError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.coefficient(self.degree)
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self._entries()) <= 1
 
     def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        cs = self._coeffs
+        if cs is not None:
+            return cs[k] if 0 <= k < len(cs) else Fraction(0)
+        den, ints = self._form
+        return Fraction(ints[k], den) if 0 <= k < len(ints) else Fraction(0)
 
     # -- ring arithmetic -----------------------------------------------------
 
@@ -307,7 +331,7 @@ class RatPoly:
         if other is None:
             return NotImplemented
         if self.is_zero or other.is_zero:
-            return RatPoly()
+            return RatPoly._from_form(1, [])
         d1, a = self._integer_form()
         d2, b = other._integer_form()
         # the leading entry is a product of two nonzero ones: no trailing zeros
@@ -331,11 +355,17 @@ class RatPoly:
             base = base * base
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, RatPoly):
-            return self.coeffs == other.coeffs
-        return NotImplemented
+        if not isinstance(other, RatPoly):
+            return NotImplemented
+        if self._coeffs is not None and other._coeffs is not None:
+            return self._coeffs == other._coeffs
+        # a / d1 == b / d2 entry by entry, cross-multiplied
+        d1, a = self._integer_form()
+        d2, b = other._integer_form()
+        return len(a) == len(b) and all(x * d2 == y * d1 for x, y in zip(a, b))
 
     def __hash__(self) -> int:
+        # the canonical tuple, so equal values hash equal whichever view they held
         return hash(("RatPoly", self.coeffs))
 
     # -- calculus --------------------------------------------------------------
@@ -483,7 +513,7 @@ class GaussPoly:
         return cls.from_real(RatPoly.one())
 
     def _length(self) -> int:
-        return max(len(self.re.coeffs), len(self.im.coeffs))
+        return max(len(self.re._entries()), len(self.im._entries()))
 
     @property
     def is_zero(self) -> bool:

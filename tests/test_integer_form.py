@@ -1,18 +1,23 @@
-"""The integer form a RatPoly carries never disagrees with its coefficients.
+"""The two views a RatPoly holds never disagree.
 
-A RatPoly holds (den, ints) with coeffs = ints / den, where den is any
-positive common denominator: it is cleared on first read, or set by the
-product, sum, difference or derivative that made the polynomial.
-Polynomials are built here through products, powers, sums, differences
-(cancelling ones among them), derivatives, divisions and the parts of
-Gaussian products.  Every result's form must equal its coefficients in
-value, and every reader of the form (``evaluate``, ``primitive_positive``,
-``perfect_square_root``) must answer as it does on a fresh
-``RatPoly(p.coeffs)``, whose form is cleared from the lcm of the
-denominators.  Products are also checked coefficient by coefficient
-against a Fraction convolution, so a wrong denominator that a product's
-coefficients and form share still shows.  A sum that cancels must leave
-the normal form: no trailing zeros, and degree None for zero.
+A RatPoly holds its value as ``coeffs``, the tuple of reduced Fractions, or
+as an integer form (den, ints) with coeffs = ints / den, where den is any
+positive common denominator.  Each view is derived from the other at most
+once, on its first read.  A polynomial built from coefficients holds the
+tuple; a product, power, sum, difference or derivative holds only the form.
+Polynomials are built here through those operations (cancelling sums among
+them), divisions and the parts of Gaussian products.  Every result's form
+must equal its coefficients in value, and every reader of the form
+(``evaluate``, ``primitive_positive``, ``perfect_square_root``) must answer
+as it does on a fresh ``RatPoly(p.coeffs)``, whose form is cleared from the
+lcm of the denominators.  Products are also checked coefficient by
+coefficient against a Fraction convolution, so a wrong denominator that a
+product's coefficients and form share still shows.  A sum that cancels must
+leave the normal form: no trailing zeros, and degree None for zero.
+
+Each op chain is built twice.  On the twin whose ``coeffs`` nobody reads,
+the structure queries and ``==`` must answer from the form alone, build no
+tuple, and agree with the answers the forced twin reads off its tuple.
 """
 
 from fractions import Fraction
@@ -23,7 +28,7 @@ import hypothesis.strategies as st
 
 from conftest import rat_polys
 from oracles import convolve
-from phelix import GaussPoly, RatPoly, perfect_square_root
+from phelix import DegenerateInputError, GaussPoly, RatPoly, perfect_square_root
 
 OPS = ("mul", "pow", "add", "sub", "cancel", "derivative", "divmod", "gauss")
 POINTS = (Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 5), Fraction(-7, 4))
@@ -94,33 +99,106 @@ def check_readers(p: RatPoly) -> None:
     assert perfect_square_root(p) == perfect_square_root(fresh)
 
 
-@given(st.lists(rat_polys, min_size=2, max_size=3), steps)
-def test_form_agrees_with_coeffs(pool, ops):
+def build(op, a: RatPoly, b: RatPoly, n: int) -> list:
+    """The polynomials ``apply`` makes, built without reading coeffs."""
+    if op == "mul":
+        return [a * b]
+    if op == "pow":
+        return [a**n]
+    if op == "add":
+        return [a + b]
+    if op == "sub":
+        return [a - b]
+    if op == "cancel":
+        return [a - a]
+    if op == "derivative":
+        return [a.derivative()]
+    if op == "divmod":
+        return [] if b.is_zero else list(divmod(a, b))
+    zw = GaussPoly.from_parts(a, b) * GaussPoly.from_parts(b, a.derivative())
+    return [zw.re, zw.im]
+
+
+def structure(p: RatPoly) -> list:
+    """Every answer of the structure queries on p."""
+    try:
+        lead = p.leading_coefficient
+    except DegenerateInputError:
+        lead = "zero"
+    top = -1 if p.degree is None else p.degree
+    return [p.is_zero, p.degree, lead, p.is_constant()] + [
+        p.coefficient(k) for k in range(-1, top + 2)
+    ]
+
+
+def chains(pool: list, ops, max_degree: int):
+    """The op chain on pool, built twice: through ``apply``, which checks
+    and reads coeffs, and through ``build``, which reads none.
+
+    Returns (pool, twin, gauss): the twin pool holds the same values as
+    pool, and gauss pairs each unread Gaussian product of the chain with
+    the index of its real part in the pools."""
+    twin = [RatPoly(p.coeffs) for p in pool]
+    gauss = []
     for op, i, j, n in ops:
         a, b = pool[i % len(pool)], pool[j % len(pool)]
-        if degree(a) * max(n, 2) + degree(b) > MAX_DEGREE:
+        if degree(a) * max(n, 2) + degree(b) > max_degree:
             continue
         pool.extend(apply(op, a, b, n))
-    for p in pool:
+        made = build(op, twin[i % len(twin)], twin[j % len(twin)], n)
+        # only division builds tuples; a**0 is one() and a**1 is a itself
+        if op != "divmod" and not (op == "pow" and n < 2):
+            assert all(p._coeffs is None for p in made)
+        if op == "gauss":
+            gauss.append((GaussPoly.from_parts(*made), len(twin)))
+        twin.extend(made)
+    return pool, twin, gauss
+
+
+@given(st.lists(rat_polys, min_size=2, max_size=3), steps)
+def test_form_agrees_with_coeffs(pool, ops):
+    forced, twin, gauss = chains(pool, ops, MAX_DEGREE)
+    for p in forced:
         check_form(p)
         check_readers(p)
+    # forced now holds every tuple; the twin's structure answers come from
+    # whichever view it holds, and no answer may build a tuple
+    unread = [p._coeffs is None for p in twin]
+    for p, f in zip(twin, forced):
+        assert structure(p) == structure(f)
+        assert p == RatPoly(f.coeffs)
+    size = len(twin)
+    for k in range(size):
+        assert (twin[k] == twin[(k + 1) % size]) == (forced[k] == forced[(k + 1) % size])
+    for g, k in gauss:
+        parts = forced[k], forced[k + 1]
+        top = max(-1 if f.degree is None else f.degree for f in parts)
+        assert g.degree == (None if top < 0 else top)
+        assert g.is_zero == all(f.is_zero for f in parts)
+    assert [p._coeffs is None for p in twin] == unread
+    for p, f in zip(twin, forced):
+        assert p == f
+        assert p.coeffs == f.coeffs
+        assert hash(p) == hash(f)
 
 
 @given(st.lists(rat_polys, min_size=1, max_size=2), steps)
 def test_square_of_any_built_polynomial_has_its_root(pool, ops):
     # p * p carries a product form, so the hit branch of perfect_square_root
-    # reads it; its root must be the fresh polynomial's root
-    for op, i, j, n in ops:
-        a, b = pool[i % len(pool)], pool[j % len(pool)]
-        if degree(a) * max(n, 2) + degree(b) > MAX_DEGREE // 2:
-            continue
-        pool.extend(apply(op, a, b, n))
-    for p in pool:
+    # reads it; its root must be the fresh polynomial's root, also when
+    # neither the square nor the root has built its tuple
+    forced, twin, _ = chains(pool, ops, MAX_DEGREE // 2)
+    for p, q in zip(forced, twin):
         square = p * p
         root = perfect_square_root(square)
         assert root is not None
         assert root == perfect_square_root(RatPoly(square.coeffs))
         check_form(square)
+        unread = q * q
+        unread_root = perfect_square_root(unread)
+        assert unread._coeffs is None
+        assert unread_root.body._coeffs is None or unread.is_zero
+        assert unread_root == root
 
 
 T = RatPoly([0, 1])
@@ -146,3 +224,52 @@ def test_cancellation_keeps_the_normal_form(result, degree):
     assert result.degree == degree
     check_form(result)
     check_readers(result)
+
+
+HALF = RatPoly([Fraction(1, 2)])
+QUARTER = RatPoly([Fraction(1, 4)])
+
+
+@pytest.mark.parametrize(
+    "left, right, equal",
+    [
+        (HALF * RatPoly([1, 3]), QUARTER * RatPoly([2, 6]), True),
+        (HALF * RatPoly([1, 3]), RatPoly([Fraction(1, 2), Fraction(3, 2)]), True),
+        (RatPoly([Fraction(1, 2), Fraction(3, 2)]), QUARTER * RatPoly([2, 6]), True),
+        (RatPoly([2]) * T, HALF * T, False),
+        (HALF * T, RatPoly([2]) * T, False),
+        (HALF * RatPoly([1, 3]), QUARTER * RatPoly([2, 6, 1]), False),
+        (RatPoly([Fraction(1, 3)]) * P, RatPoly([Fraction(1, 6)]) * (P + P), True),
+        (P - P, RatPoly(), True),
+        (P - P, T - T, True),
+        (P - P, HALF * T - HALF * T, True),
+        (P - P, HALF * T, False),
+    ],
+    ids=["forms-1/2-vs-2/4", "form-vs-tuple", "tuple-vs-form", "2t-vs-t/2", "t/2-vs-2t",
+         "degree-differs", "dens-36-vs-72", "zero-form-vs-tuple", "zero-forms",
+         "zero-forms-unequal-dens", "zero-vs-nonzero"],
+)
+def test_equality_across_views(left, right, equal):
+    unread = (left._coeffs is None, right._coeffs is None)
+    assert (left == right) is equal
+    assert (right == left) is equal
+    assert (left._coeffs is None, right._coeffs is None) == unread
+    if equal:
+        assert hash(left) == hash(right)
+    assert (left.coeffs == right.coeffs) is equal
+
+
+@pytest.mark.parametrize(
+    "zero", [P - P, RatPoly([Fraction(5, 7)]).derivative(), HALF * T - HALF * T, RatPoly()],
+    ids=["p-p", "constant-derivative", "unequal-dens", "empty"],
+)
+def test_zero_polynomial_structure_without_a_tuple(zero):
+    unread = zero._coeffs is None
+    assert zero.is_zero and zero.degree is None and zero.is_constant()
+    with pytest.raises(DegenerateInputError):
+        zero.leading_coefficient
+    assert [zero.coefficient(k) for k in (-1, 0, 1)] == [0, 0, 0]
+    gauss = GaussPoly.from_parts(zero, zero)
+    assert gauss.is_zero and gauss.degree is None
+    assert (zero._coeffs is None) == unread
+    assert zero.coeffs == ()
