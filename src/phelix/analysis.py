@@ -13,19 +13,14 @@ is nonzero).
 Every question reads the same four invariants of the hodograph, so they are
 built once into an :class:`Invariants` record and each verdict reads that.
 
-Constancy of (tau/kappa)^2 = det^2 sigma^6 / rho^6 is settled by one exact
-division.  On a PH curve the cross norm factors through the speed: for a
-Hopf pair (z1, z2) with Wronskian W = z1'*z2 - z1*z2', rho^2 = 4 sigma^2 |W|^2.
-So the test divides, q, r = divmod(rho^2, sigma^2), and decides
-det^2 = lambda q^3: degree 12 on a quintic instead of the degree-36
-det^2 sigma^6 = lambda rho^6, and cheaper than evaluating the invariants at
-a few points.  Only the identity at t = 0, on the constant coefficients,
-runs before it.  When sigma^2 divides rho^2 the two identities are
-equivalent.  When it does not, the ratio is not constant: were
-det^2 sigma^6 = lambda rho^6 to hold with lambda and det nonzero, then
-3 v_p(rho^2) = 2 v_p(det) + 3 v_p(sigma^2) >= 3 v_p(sigma^2) for every
-irreducible factor p, so sigma^2 would divide rho^2.  The test reads only
-the hodograph, so every spec form takes it.
+Constancy of (tau/kappa)^2 = det^2 sigma^6 / rho^6 is the polynomial
+identity det^2 sigma^6 = lambda rho^6, with lambda pinned by degrees and
+leading coefficients.  The identity at t = 0, on the constant coefficients,
+rejects most non-constant inputs before any product is formed, and a
+survivor is settled by the identity itself.  Its products run on the
+integer forms of the invariants, so it neither divides nor builds a
+coefficient tuple.  The test reads only the hodograph, so every spec
+form takes it.
 """
 
 from __future__ import annotations
@@ -180,11 +175,7 @@ def _constant_ratio_value(inv: Invariants) -> Optional[Fraction]:
     candidate lambda is pinned by degrees and leading coefficients, and the
     identity at t = 0, read off the constant coefficients, rejects most
     non-constant inputs before any product is formed.  A survivor is settled
-    by one exact division, q, r = divmod(rho^2, s2).  With r = 0 the
-    identity is det^2 = lambda q^3, of degree 12 on a quintic.  With r != 0
-    the ratio is not constant: lambda and det are nonzero here, so the
-    identity would give 3 v_p(rho^2) = 2 v_p(det) + 3 v_p(s2) >= 3 v_p(s2)
-    for every irreducible factor p, and s2 would divide rho^2.
+    by the identity itself, whose products run on the integer forms.
     """
     det, s2, rho_squared = inv.det, inv.sigma_squared, inv.rho_squared
     if 2 * det.degree + 3 * s2.degree != 3 * rho_squared.degree:
@@ -197,8 +188,7 @@ def _constant_ratio_value(inv: Invariants) -> Optional[Fraction]:
     d0, s0, r0 = det.coefficient(0), s2.coefficient(0), rho_squared.coefficient(0)
     if d0 * d0 * s0**3 != lam * r0**3:
         return None
-    q, r = divmod(rho_squared, s2)
-    return lam if r.is_zero and det * det == lam * q**3 else None
+    return lam if det * det * s2**3 == lam * rho_squared**3 else None
 
 
 def helix_verdict(inv: Invariants) -> HelixVerdict:

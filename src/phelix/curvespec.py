@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import zip_longest
 from typing import NamedTuple, Optional, Tuple, Union
 
 from .curves import (
@@ -42,7 +43,7 @@ from .curves import (
     integrate,
 )
 from .errors import DegenerateInputError, SpecParseError
-from .polynomials import GaussPoly, GaussianRational, RatPoly
+from .polynomials import GaussPoly, GaussianRational, RatPoly, coefficient_strings
 
 FORMS = ("quaternion", "bezier-quaternion", "hopf", "hodograph", "curve")
 SPEC_KEYS = ("form", "coefficients", "origin")
@@ -299,11 +300,12 @@ def encode_rationals(values) -> list:
 
 
 def encode_rat_poly(p: RatPoly) -> list:
-    return encode_rationals(p.coeffs)
+    return coefficient_strings(p)
 
 
 def encode_gauss_poly(p: GaussPoly) -> list:
-    return [encode_rationals((c.re, c.im)) for c in p.coeffs]
+    parts = zip_longest(coefficient_strings(p.re), coefficient_strings(p.im), fillvalue="0")
+    return [list(c) for c in parts]
 
 
 def spec_to_doc(spec: CurveSpec) -> dict:

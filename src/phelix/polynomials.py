@@ -21,9 +21,12 @@ added over lcm(d1, d2), ``derivative`` (den, k * ints[k]) and
 ``perfect_square_root`` its integer root over 1.  Products, sums,
 ``evaluate``, ``primitive_positive`` and ``perfect_square_root`` read the
 form, so a chain of ring operations clears each input's denominators once
-and builds no Fraction.  The structure queries (``is_zero``, ``degree``,
+and builds no Fraction.  Rendering reads the form too: ``str()`` and
+``coefficient_strings`` write each coefficient from (den, ints) with one
+gcd, and one renderer serves a GaussPoly and, as the case with a zero
+imaginary part, a RatPoly.  The structure queries (``is_zero``, ``degree``,
 ``leading_coefficient``, ``coefficient``) and ``==`` read whichever view
-exists; hashing, division, ``monic`` and rendering read the tuple.
+exists; only hashing, division and ``monic`` read the tuple.
 
 The normal forms are:
 
@@ -181,19 +184,9 @@ class GaussianRational:
         if not self.im:
             return str(self.re)
         if not self.re:
-            return _format_imaginary(self.im)
+            return _times(str(self.im), "i")
         sign = "-" if self.im < 0 else "+"
-        return f"{self.re} {sign} {_format_imaginary(abs(self.im))}"
-
-
-def _format_imaginary(value: Fraction) -> str:
-    if value == 1:
-        return "i"
-    if value == -1:
-        return "-i"
-    if value.denominator == 1:
-        return f"{value}i"
-    return f"({value})i"
+        return f"{self.re} {sign} {_times(str(abs(self.im)), 'i')}"
 
 
 class RatPoly:
@@ -537,6 +530,16 @@ class GaussPoly:
     def coefficient(self, k: int) -> GaussianRational:
         return GaussianRational(self.re.coefficient(k), self.im.coefficient(k))
 
+    def _gaussian_integers(self, n: int) -> List[Tuple[int, int]]:
+        """The first n coefficients times one positive common denominator,
+        as Gaussian integers (x, y) = x + i*y; n is at least the length."""
+        dx, xs = self.re._integer_form()
+        dy, ys = self.im._integer_form()
+        g = math.gcd(dx, dy)
+        xs = [v * (dy // g) for v in xs] + [0] * (n - len(xs))
+        ys = [v * (dx // g) for v in ys] + [0] * (n - len(ys))
+        return list(zip(xs, ys))
+
     def __add__(self, other) -> "GaussPoly":
         other = _as_gauss(other)
         return GaussPoly.from_parts(self.re + other.re, self.im + other.im)
@@ -821,36 +824,42 @@ def _power_str(k: int) -> str:
     return f"t^{k}"
 
 
-def _real_term(c: Fraction, power: str) -> Tuple[bool, str]:
-    """(negative, body) of the term c * power for a nonzero rational c."""
-    mag = abs(c)
-    if not power:
-        body = str(mag)
-    elif mag == 1:
-        body = power
-    elif mag.denominator == 1:
-        body = f"{mag}{power}"
-    else:
-        body = f"({mag}){power}"
-    return c < 0, body
+def _fraction_str(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, with one gcd and no Fraction."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
-def _gauss_term(c: GaussianRational, power: str) -> Tuple[bool, str]:
-    """(negative, body) of the term c * power for a nonzero Gaussian rational c."""
-    if c.is_real:
-        return _real_term(c.re, power)
-    if not c.re:
-        return c.im < 0, f"{_format_imaginary(abs(c.im))}{power}"
-    return False, f"({c!s}){power}"
+def _times(s: str, unit: str) -> str:
+    """The rational written s times unit ("" for none, a power of t, or "i")."""
+    if not unit:
+        return s
+    if s == "1":
+        return unit
+    if s == "-1":
+        return f"-{unit}"
+    return f"({s}){unit}" if "/" in s else f"{s}{unit}"
 
 
-def _join_terms(p, term) -> str:
-    """The nonzero terms of p, highest power first, with explicit signs."""
+def _render(re_form, im_form) -> str:
+    """The nonzero terms of re + i*im, highest power first, with explicit
+    signs; each part is given as its integer form (den, ints)."""
+    (dx, xs), (dy, ys) = re_form, im_form
     parts: List[str] = []
-    for k, c in reversed(list(enumerate(p.coeffs))):
-        if not c:
-            continue
-        negative, body = term(c, _power_str(k))
+    for k in range(max(len(xs), len(ys)) - 1, -1, -1):
+        x = xs[k] if k < len(xs) else 0
+        y = ys[k] if k < len(ys) else 0
+        power = _power_str(k)
+        if not y:
+            if not x:
+                continue
+            negative, body = x < 0, _times(_fraction_str(abs(x), dx), power)
+        elif not x:
+            negative, body = y < 0, _times(_fraction_str(abs(y), dy), "i") + power
+        else:
+            imag = _times(_fraction_str(abs(y), dy), "i")
+            sign = "-" if y < 0 else "+"
+            negative, body = False, f"({_fraction_str(x, dx)} {sign} {imag}){power}"
         if not parts:
             parts.append(f"-{body}" if negative else body)
         else:
@@ -858,9 +867,15 @@ def _join_terms(p, term) -> str:
     return "".join(parts) or "0"
 
 
+def coefficient_strings(p: RatPoly) -> List[str]:
+    """str() of each ascending coefficient, written from the integer form."""
+    den, ints = p._integer_form()
+    return [_fraction_str(v, den) for v in ints]
+
+
 def format_rat_poly(p: RatPoly) -> str:
-    return _join_terms(p, _real_term)
+    return _render(p._integer_form(), (1, []))
 
 
 def format_gauss_poly(p: GaussPoly) -> str:
-    return _join_terms(p, _gauss_term)
+    return _render(p.re._integer_form(), p.im._integer_form())

@@ -185,18 +185,42 @@ def _real_proportional_split(w: GaussPoly) -> Optional[Tuple[RatPoly, GaussPoly]
 
 def _constant_square_split(w: GaussPoly) -> Optional[Tuple[RatPoly, GaussPoly]]:
     """W as 1 * (square of a linear complex polynomial): a double root."""
-    if _double_root(w.coefficient(0), w.coefficient(1), w.coefficient(2)) is None:
+    if _double_root(*w._gaussian_integers(3)) is None:
         return None
     return RatPoly.one(), w
 
 
+GaussianInteger = Tuple[int, int]
+
+
+def _gauss_mul(a: GaussianInteger, b: GaussianInteger) -> GaussianInteger:
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _minor(a, b, j: int, k: int) -> GaussianInteger:
+    """a_j b_k - a_k b_j."""
+    x, y = _gauss_mul(a[j], b[k]), _gauss_mul(a[k], b[j])
+    return (x[0] - y[0], x[1] - y[1])
+
+
 def _double_root(
-    c0: GaussianRational, c1: GaussianRational, c2: GaussianRational
-) -> Optional[GaussianRational]:
-    """r with c2 t^2 + c1 t + c0 = c2 (t - r)^2 and c2 != 0, else None."""
-    if not c2 or c1 * c1 != 4 * c0 * c2:
+    c0: GaussianInteger, c1: GaussianInteger, c2: GaussianInteger
+) -> Optional[Tuple[GaussianInteger, GaussianInteger]]:
+    """(p, q) with c2 t^2 + c1 t + c0 = c2 (t - p/q)^2 and c2 != 0, else None.
+
+    The test c1^2 = 4 c0 c2 is homogeneous, so the Gaussian integers may
+    carry any common nonzero factor.
+    """
+    x, y = _gauss_mul(c0, c2)
+    if c2 == (0, 0) or _gauss_mul(c1, c1) != (4 * x, 4 * y):
         return None
-    return -c1 / (2 * c2)
+    return (-c1[0], -c1[1]), (2 * c2[0], 2 * c2[1])
+
+
+def _vanishes_at(c, p2: GaussianInteger, pq: GaussianInteger, q2: GaussianInteger) -> bool:
+    """c0 + c1 r + c2 r^2 = 0 at r = p/q, as c2 p^2 + c1 pq + c0 q^2 = 0."""
+    terms = (_gauss_mul(c[2], p2), _gauss_mul(c[1], pq), _gauss_mul(c[0], q2))
+    return not any(map(sum, zip(*terms)))
 
 
 def monotone_test(pair: HopfPair) -> Optional[GaussPoly]:
@@ -210,22 +234,28 @@ def monotone_test(pair: HopfPair) -> Optional[GaussPoly]:
     the pair proportional.  W's coefficients are 2x2 minors of the pair's
     coefficients a, b; all of them vanish for a proportional pair, whose gcd
     is its nonzero member made monic.
+
+    a and b are read as Gaussian integers, each over one common
+    denominator.  That scales every minor by the same factor, and the
+    minors, the double-root test and the root check at r = p/q, read as
+    c2 p^2 + c1 pq + c0 q^2 = 0, are all homogeneous, so none of them
+    divides.  Only a shared root is built as a Gaussian rational.
     """
     _check_degrees(pair)
-    a = [pair.z1.coefficient(k) for k in range(3)]
-    b = [pair.z2.coefficient(k) for k in range(3)]
-    w0 = a[1] * b[0] - a[0] * b[1]
-    w1 = 2 * (a[2] * b[0] - a[0] * b[2])
-    w2 = a[2] * b[1] - a[1] * b[2]
-    if not (w0 or w1 or w2):
+    a, b = pair.z1._gaussian_integers(3), pair.z2._gaussian_integers(3)
+    w0, w2 = _minor(a, b, 1, 0), _minor(a, b, 2, 1)
+    w1 = tuple(2 * v for v in _minor(a, b, 2, 0))
+    if w0 == w1 == w2 == (0, 0):
         z = pair.z2 if pair.z1.is_zero else pair.z1
         return z.monic() if z.degree else None
-    r = _double_root(w0, w1, w2)
-    if r is None:
+    root = _double_root(w0, w1, w2)
+    if root is None:
         return None
-    # Horner: z1(r) = z2(r) = 0
-    if (a[2] * r + a[1]) * r + a[0] or (b[2] * r + b[1]) * r + b[0]:
+    p, q = root
+    p2, pq, q2 = _gauss_mul(p, p), _gauss_mul(p, q), _gauss_mul(q, q)
+    if not (_vanishes_at(a, p2, pq, q2) and _vanishes_at(b, p2, pq, q2)):
         return None
+    r = GaussianRational(*p) / GaussianRational(*q)
     return GaussPoly([-r, GaussianRational(1)])
 
 

@@ -4,9 +4,11 @@ Each one recomputes a value the library derives another way: the hodograph
 as the literal quaternion product A(t) * i * conj(A(t)), the speed as
 |A|^2 = |z1|^2 + |z2|^2, the Bernstein form evaluated directly, Horner's
 rule over any coefficient type, sums of products of reduced quotients
-over one common denominator, and polynomial products one coefficient
+over one common denominator, polynomial products one coefficient
 object at a time (the library splits Gaussian polynomials into rational
-parts and convolves integers instead).
+parts and convolves integers instead), and the text and JSON encodings of
+a polynomial written from its tuple of Fraction or Gaussian-rational
+coefficients (the library writes them from the integer form).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from phelix import (
 )
 from phelix.polynomials import as_fraction
 from phelix.quintic import ConstantZParameters
+
 
 def horner(p, t):
     """p(t) by Horner's rule on p's own coefficients, term by term."""
@@ -149,3 +152,68 @@ def quotient_cross(u, v) -> Tuple[RationalFunction, RationalFunction, RationalFu
         quotient_sum(((1, u[i], v[j]), (-1, u[j], v[i])))
         for i, j in ((1, 2), (2, 0), (0, 1))
     )
+
+
+def _real_term(c: Fraction, power: str) -> Tuple[bool, str]:
+    """(negative, body) of the term c * power for a nonzero rational c."""
+    mag = abs(c)
+    if not power:
+        body = str(mag)
+    elif mag == 1:
+        body = power
+    elif mag.denominator == 1:
+        body = f"{mag}{power}"
+    else:
+        body = f"({mag}){power}"
+    return c < 0, body
+
+
+def _imaginary(value: Fraction) -> str:
+    if value == 1:
+        return "i"
+    if value == -1:
+        return "-i"
+    if value.denominator == 1:
+        return f"{value}i"
+    return f"({value})i"
+
+
+def _gauss_term(c, power: str) -> Tuple[bool, str]:
+    """(negative, body) of the term c * power for a nonzero Gaussian rational c."""
+    if not c.im:
+        return _real_term(c.re, power)
+    if not c.re:
+        return c.im < 0, f"{_imaginary(abs(c.im))}{power}"
+    sign = "-" if c.im < 0 else "+"
+    return False, f"({c.re} {sign} {_imaginary(abs(c.im))}){power}"
+
+
+def _join_terms(coeffs, term) -> str:
+    """The nonzero terms, highest power first, with explicit signs."""
+    parts = []
+    for k, c in reversed(list(enumerate(coeffs))):
+        if not c:
+            continue
+        power = "" if k == 0 else "t" if k == 1 else f"t^{k}"
+        negative, body = term(c, power)
+        if not parts:
+            parts.append(f"-{body}" if negative else body)
+        else:
+            parts.append(f" - {body}" if negative else f" + {body}")
+    return "".join(parts) or "0"
+
+
+def render_rat_poly(p: RatPoly) -> str:
+    return _join_terms(p.coeffs, _real_term)
+
+
+def render_gauss_poly(p: GaussPoly) -> str:
+    return _join_terms(p.coeffs, _gauss_term)
+
+
+def encode_rat_poly(p: RatPoly) -> list:
+    return [str(c) for c in p.coeffs]
+
+
+def encode_gauss_poly(p: GaussPoly) -> list:
+    return [[str(c.re), str(c.im)] for c in p.coeffs]

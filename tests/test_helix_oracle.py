@@ -1,17 +1,18 @@
 """Differential test of the constant-slope verdict against sympy.
 
 is_helix decides constancy of (tau/kappa)^2 = det^2 sigma^6 / rho^6 by
-degrees, the identity at t = 0 on the constant coefficients, and one exact
-division q, r = divmod(rho^2, sigma^2) followed by det^2 = lambda q^3.
-sympy decides the same question by building the invariants itself and
-cancelling the quotient: the verdict is helix or planar exactly when the
-cancelled quotient is a constant.  The oracle always cancels
-det^2 sigma^6 / rho^6 whole.
+degrees, the identity at t = 0 on the constant coefficients, and then the
+identity det^2 sigma^6 = lambda rho^6 itself, with lambda read off the
+leading coefficients.  sympy decides the same question by building the
+invariants itself and cancelling the quotient: the verdict is helix or
+planar exactly when the cancelled quotient is a constant.  The oracle
+always cancels det^2 sigma^6 / rho^6 whole.
 
 Hodographs go up to degree 7.  A hodograph times t keeps (tau/kappa)^2 but
 has no constant terms, so the check at t = 0 passes and every such draw
-that survives the degree check is decided by the division: on the Hopf
-map of a pair with r = 0, on almost every other hodograph with r != 0.
+that survives the degree check is decided by the full identity: on the
+Hopf map of a pair, where sigma^2 divides rho^2, and on almost every other
+hodograph, where it does not.
 """
 
 import pytest
@@ -118,9 +119,9 @@ scaled_pairs = st.builds(
 hopf_pairs = st.one_of(random_pairs, helical_pairs, scaled_pairs)
 
 
-# draws times t, so the point check cannot decide them; the balanced share
-# is where sigma^2 does not divide rho^2
-division_draws = st.one_of(
+# draws times t, so the point check cannot decide them and the full
+# identity must; the balanced share is where sigma^2 does not divide rho^2
+identity_draws = st.one_of(
     hodographs_of(balanced), hodographs, hopf_pairs.map(hodograph_from_hopf)
 ).map(times_t)
 
@@ -173,10 +174,10 @@ def test_wronskian_route_matches_sympy_constancy(pair):
 
 
 @settings(max_examples=40)
-@given(division_draws)
+@given(identity_draws)
 # degrees (2, 1, 0): the degree check passes and sigma^2 does not divide rho^2
 @example(times_t(Hodograph(RatPoly([1, 2, 3]), RatPoly([4, 5]), RatPoly([6]))))
-def test_division_matches_sympy_constancy(h):
+def test_identity_matches_sympy_constancy(h):
     inv = invariants(h)
     assert not any(p.coefficient(0) for p in (inv.det, inv.sigma_squared, inv.rho_squared))
     assert_matches_sympy(h, is_helix(h).kind)

@@ -1,15 +1,17 @@
-"""Differential test of the constancy identity against the degree-36 one.
+"""Differential test of the constancy test against the bare degree-36 identity.
 
-_constant_ratio_value divides rho^2 by sigma^2 and decides
-det^2 = lambda q^3 for the quotient q, reading a nonzero remainder as "not
-constant".  The reference below decides det^2 sigma^6 = lambda rho^6 with no
-division.  Both must give the same lambda or None on every input that
-reaches the test: Hopf pairs of degree 1-4 (random, planar, proportional
-and helical) and arbitrary hodographs of degree 1-4, which are almost never
-PH.  The second run multiplies each hodograph by t.  That keeps
-(tau/kappa)^2 and zeroes every constant term, so the check at t = 0 passes
-and every input that survives the degree check reaches the division,
-those whose remainder is nonzero included.
+_constant_ratio_value checks degrees and the identity at t = 0, then
+decides det^2 sigma^6 = lambda rho^6 with lambda from the leading
+coefficients.  The reference below checks the degrees and decides the same
+identity directly, with no check at t = 0.  Both must give the same lambda
+or None on every input that reaches the test: Hopf pairs of degree 1-4
+(random, planar, proportional and helical) and arbitrary hodographs of
+degree 1-4, which are almost never PH.  The second run multiplies each
+hodograph by t.  That keeps (tau/kappa)^2 and zeroes every constant term,
+so the check at t = 0 passes and every input that survives the degree
+check reaches the full identity.  The inputs among those where sigma^2
+does not divide rho^2 are counted, by this file's own division, so the
+run is seen to reach them too.
 """
 
 import pytest
@@ -155,8 +157,8 @@ def test_routes_agree(family):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_routes_agree_without_scan(family):
     # on t * h the identity at t = 0 reads 0 = 0, so every survivor of the
-    # degree check is settled by the division, and a nonzero remainder must
-    # be read as "not constant"
+    # degree check is settled by the full identity, also where sigma^2 does
+    # not divide rho^2 and the ratio cannot be constant
     items = [
         times_t(hodograph_from_hopf(item) if isinstance(item, HopfPair) else item)
         for item in draws(family)
