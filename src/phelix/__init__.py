@@ -78,4 +78,28 @@ from .quintic import (
     quaternion_dependence,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The public API: what a caller may import from phelix, listed by module.
+__all__ = [
+    # analysis
+    "CrossNorm", "CurveAnalysis", "FrenetFrame", "HelixKind", "HelixVerdict",
+    "Invariants", "analyze", "cross_norm", "frenet_frame", "helix_verdict",
+    "invariants", "is_2ph", "is_helix", "is_ph", "lancret_ratio_squared", "norms",
+    # curves
+    "Hodograph", "HopfPair", "PolynomialCurve", "Quaternion", "QuaternionPolynomial",
+    "bezier_to_power", "hodograph_from_hopf", "hodograph_from_quaternion",
+    "hopf_from_quaternion", "integrate", "quaternion_from_hopf",
+    # curvespec
+    "CurveSpec", "dump_spec", "load_spec", "parse_spec", "spec_to_doc",
+    # errors
+    "DegenerateInputError", "InternalInconsistencyError", "LineDegeneracyError",
+    "NotRationalFrameError", "PhelixError", "SpecParseError", "UnsupportedDegreeError",
+    # polynomials
+    "GaussPoly", "GaussianRational", "RatPoly", "RationalFunction", "ScaledSqrt",
+    "perfect_square_root", "poly_gcd", "squarefree_decompose", "wronskian",
+    # quintic
+    "ClassificationReport", "ConstantZParameters", "DecompositionCase",
+    "DependenceSolution", "QuinticClass", "QuinticKind", "WronskianDecomposition",
+    "classify_quintic", "constant_z_parameters", "decompose_wronskian_quintic",
+    "generate_general_quintic", "generate_monotone_quintic", "monotone_test",
+    "quaternion_dependence",
+]

@@ -26,7 +26,7 @@ form takes it.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 from .curves import Hodograph
 from .errors import (
@@ -163,9 +163,10 @@ def lancret_ratio_squared(h: Hodograph) -> RationalFunction:
     return _lancret_ratio(inv)
 
 
-def _scan_points(n: int) -> Tuple[Fraction, ...]:
-    """The first n points of 0, 1, -1, 2, -2, ...; they are distinct."""
-    return tuple(Fraction((k + 1) // 2 if k % 2 else -(k // 2)) for k in range(n))
+def _scan_points(n: int) -> Iterator[Fraction]:
+    """The first n points of 0, 1, -1, 2, -2, ..., one at a time; they are distinct."""
+    for k in range(n):
+        yield Fraction((k + 1) // 2 if k % 2 else -(k // 2))
 
 
 def _constant_ratio_value(inv: Invariants) -> Optional[Fraction]:

@@ -362,7 +362,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (SpecParseError, UnsupportedDegreeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (LineDegeneracyError, DegenerateInputError) as exc:
+    except DegenerateInputError as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except InternalInconsistencyError as exc:

@@ -13,7 +13,8 @@ Every quaternionic input reaches its hodograph through the Hopf pair:
 
 The first two guarantee the Pythagorean property by construction; the raw
 form is accepted even when that property fails, and analysis detects it.
-A ``Quaternion`` takes a scalar on either side of +, - and *.
+A ``Quaternion`` takes a scalar on either side of + and *, and on the right
+of -.
 """
 
 from __future__ import annotations
@@ -77,13 +78,6 @@ class Quaternion:
         return Quaternion(
             self.w - other.w, self.x - other.x, self.y - other.y, self.z - other.z
         )
-
-    def __rsub__(self, other) -> "Quaternion":
-        try:
-            other = Quaternion.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return other - self
 
     def __mul__(self, other) -> "Quaternion":
         try:

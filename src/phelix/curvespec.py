@@ -292,15 +292,11 @@ def parse_spec(doc) -> CurveSpec:
 
 # The exact-value encoders, shared with the report documents: rationals
 # travel as the strings parse_rational reads back, polynomials as ascending
-# coefficient arrays.
+# coefficient arrays (polynomials.coefficient_strings for a RatPoly).
 
 
 def encode_rationals(values) -> list:
     return [str(v) for v in values]
-
-
-def encode_rat_poly(p: RatPoly) -> list:
-    return coefficient_strings(p)
 
 
 def encode_gauss_poly(p: GaussPoly) -> list:
@@ -321,15 +317,15 @@ def spec_to_doc(spec: CurveSpec) -> dict:
         }
     elif spec.form == "hodograph":
         doc["coefficients"] = {
-            "dx": encode_rat_poly(spec.payload.dx),
-            "dy": encode_rat_poly(spec.payload.dy),
-            "dz": encode_rat_poly(spec.payload.dz),
+            "dx": coefficient_strings(spec.payload.dx),
+            "dy": coefficient_strings(spec.payload.dy),
+            "dz": coefficient_strings(spec.payload.dz),
         }
     else:
         doc["coefficients"] = {
-            "x": encode_rat_poly(spec.payload.x),
-            "y": encode_rat_poly(spec.payload.y),
-            "z": encode_rat_poly(spec.payload.z),
+            "x": coefficient_strings(spec.payload.x),
+            "y": coefficient_strings(spec.payload.y),
+            "z": coefficient_strings(spec.payload.z),
         }
     if any(spec.origin):
         doc["origin"] = encode_rationals(spec.origin)

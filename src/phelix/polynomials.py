@@ -98,14 +98,6 @@ class GaussianRational:
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self
-
-    @property
-    def is_real(self) -> bool:
-        return not self.im
-
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
@@ -127,13 +119,6 @@ class GaussianRational:
         except TypeError:
             return NotImplemented
         return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other) -> "GaussianRational":
-        try:
-            other = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return other - self
 
     def __neg__(self) -> "GaussianRational":
         return GaussianRational(-self.re, -self.im)
@@ -160,13 +145,6 @@ class GaussianRational:
             raise ZeroDivisionError("division by zero Gaussian rational")
         return self * other.conjugate() * GaussianRational(Fraction(1, 1) / n)
 
-    def __rtruediv__(self, other) -> "GaussianRational":
-        try:
-            other = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return other / self
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (GaussianRational, Fraction, int)):
             other = GaussianRational.coerce(other)
@@ -179,14 +157,6 @@ class GaussianRational:
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
-
-    def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return _times(str(self.im), "i")
-        sign = "-" if self.im < 0 else "+"
-        return f"{self.re} {sign} {_times(str(abs(self.im)), 'i')}"
 
 
 class RatPoly:
@@ -270,10 +240,9 @@ class RatPoly:
     def _as_same(self, other) -> Optional["RatPoly"]:
         if isinstance(other, RatPoly):
             return other
-        try:
+        if isinstance(other, (Fraction, int, str)):
             return RatPoly([other])
-        except TypeError:
-            return None
+        return None
 
     def __add__(self, other):
         other = self._as_same(other)
@@ -288,12 +257,6 @@ class RatPoly:
         if other is None:
             return NotImplemented
         return self._sum(other, -1)
-
-    def __rsub__(self, other):
-        other = self._as_same(other)
-        if other is None:
-            return NotImplemented
-        return other - self
 
     def _sum(self, other: "RatPoly", sign: int) -> "RatPoly":
         # self + sign * other on the integer forms: equal denominators add
@@ -501,10 +464,6 @@ class GaussPoly:
     def from_real(cls, real: RatPoly) -> "GaussPoly":
         return cls.from_parts(real, RatPoly())
 
-    @classmethod
-    def one(cls) -> "GaussPoly":
-        return cls.from_real(RatPoly.one())
-
     def _length(self) -> int:
         return max(len(self.re._entries()), len(self.im._entries()))
 
@@ -549,9 +508,6 @@ class GaussPoly:
     def __sub__(self, other) -> "GaussPoly":
         other = _as_gauss(other)
         return GaussPoly.from_parts(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other) -> "GaussPoly":
-        return _as_gauss(other) - self
 
     def __mul__(self, other) -> "GaussPoly":
         other = _as_gauss(other)

@@ -10,8 +10,8 @@ from __future__ import annotations
 from typing import List, NamedTuple, Optional, Tuple
 
 from .analysis import CurveAnalysis, HelixKind, HelixVerdict, analyze
-from .curvespec import CurveSpec, encode_gauss_poly, encode_rat_poly, encode_rationals
-from .polynomials import GaussPoly, RatPoly, RationalFunction, ScaledSqrt
+from .curvespec import CurveSpec, encode_gauss_poly, encode_rationals
+from .polynomials import GaussPoly, RatPoly, RationalFunction, ScaledSqrt, coefficient_strings
 from .quintic import (
     QUINTIC_MAX_DEGREE,
     ClassificationReport,
@@ -23,7 +23,7 @@ TOOL_NAME = "phelix"
 
 
 def _rat_poly_doc(p: RatPoly) -> dict:
-    return {"coefficients": encode_rat_poly(p), "rendered": str(p)}
+    return {"coefficients": coefficient_strings(p), "rendered": str(p)}
 
 
 def _gauss_poly_doc(p: GaussPoly) -> dict:
@@ -33,15 +33,15 @@ def _gauss_poly_doc(p: GaussPoly) -> dict:
 def _scaled_sqrt_doc(s: Optional[ScaledSqrt]) -> Optional[dict]:
     if s is None:
         return None
-    return {"scale": str(s.scale), "body": encode_rat_poly(s.body), "rendered": str(s)}
+    return {"scale": str(s.scale), "body": coefficient_strings(s.body), "rendered": str(s)}
 
 
 def _rational_function_doc(r: Optional[RationalFunction]) -> Optional[dict]:
     if r is None:
         return None
     return {
-        "num": encode_rat_poly(r.num),
-        "den": encode_rat_poly(r.den),
+        "num": coefficient_strings(r.num),
+        "den": coefficient_strings(r.den),
         "rendered": str(r),
     }
 

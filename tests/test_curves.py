@@ -128,11 +128,11 @@ class TestHodographFromQuaternion:
 
 class TestHopf:
     def test_unit_pair(self):
-        h = hodograph_from_hopf(HopfPair(GaussPoly.one(), GaussPoly()))
+        h = hodograph_from_hopf(HopfPair(GaussPoly([1]), GaussPoly()))
         assert h.vector() == (RatPoly([1]), RatPoly(), RatPoly())
 
     def test_swapped_unit_pair_flips_x(self):
-        h = hodograph_from_hopf(HopfPair(GaussPoly(), GaussPoly.one()))
+        h = hodograph_from_hopf(HopfPair(GaussPoly(), GaussPoly([1])))
         assert h.vector() == (RatPoly([-1]), RatPoly(), RatPoly())
 
     def test_both_zero_rejected(self):
@@ -141,7 +141,7 @@ class TestHopf:
 
     def test_constant_one_splits(self):
         pair = hopf_from_quaternion(QuaternionPolynomial([Quaternion(1)]))
-        assert pair.z1 == GaussPoly.one()
+        assert pair.z1 == GaussPoly([1])
         assert pair.z2.is_zero
 
     def test_example1_reassembly(self):
@@ -164,7 +164,7 @@ class TestHopf:
         assert via_hopf == hodograph_from_quaternion(a)
 
     def test_sigma_of_pair(self):
-        pair = HopfPair(GaussPoly([G(0), G(1)]), GaussPoly.one())
+        pair = HopfPair(GaussPoly([G(0), G(1)]), GaussPoly([1]))
         assert sigma_poly(pair) == RatPoly([1, 0, 1])
 
     def test_sigma_of_constant(self):

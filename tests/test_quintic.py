@@ -107,15 +107,15 @@ class TestDecompose:
             decompose_wronskian_quintic(pair)
 
     def test_constant_wronskian(self):
-        pair = HopfPair(GaussPoly([G(0), G(1)]), GaussPoly.one())  # z1 = t, z2 = 1
+        pair = HopfPair(GaussPoly([G(0), G(1)]), GaussPoly([1]))  # z1 = t, z2 = 1
         dec = decompose_wronskian_quintic(pair)
         assert dec.case == DecompositionCase.BOTH_CONSTANT
         assert dec.omega == RatPoly([1])
-        assert dec.z_squared == GaussPoly.one()
+        assert dec.z_squared == GaussPoly([1])
 
     def test_linear_wronskian_with_real_ratios(self):
         # z1 = t^2, z2 = 1 gives W = 2t
-        pair = HopfPair(GaussPoly([G(0), G(0), G(1)]), GaussPoly.one())
+        pair = HopfPair(GaussPoly([G(0), G(0), G(1)]), GaussPoly([1]))
         dec = decompose_wronskian_quintic(pair)
         assert dec.case == DecompositionCase.Z_CONSTANT
         assert dec.omega == RatPoly([0, 1])
@@ -142,7 +142,7 @@ class TestDecompose:
     def test_degree_limit(self):
         cubic = GaussPoly([G(1), G(0), G(0), G(1)])
         with pytest.raises(UnsupportedDegreeError):
-            decompose_wronskian_quintic(HopfPair(cubic, GaussPoly.one()))
+            decompose_wronskian_quintic(HopfPair(cubic, GaussPoly([1])))
 
 
 class TestMonotoneTest:

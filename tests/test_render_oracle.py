@@ -1,6 +1,6 @@
 """The renderer and the encoders against their Fraction-tuple reference.
 
-``str()`` of a RatPoly or GaussPoly, ``encode_rat_poly`` and
+``str()`` of a RatPoly or GaussPoly, ``coefficient_strings`` and
 ``encode_gauss_poly`` write each coefficient from the parts' integer forms
 (den, ints) with one gcd, and one renderer serves both classes, a RatPoly
 being the Gaussian case with a zero imaginary part.  ``tests/oracles.py``
@@ -25,7 +25,7 @@ from conftest import rationals
 from oracles import encode_gauss_poly, encode_rat_poly, render_gauss_poly, render_rat_poly
 from phelix import GaussPoly, GaussianRational, RatPoly
 from phelix.curvespec import encode_gauss_poly as encode_gauss
-from phelix.curvespec import encode_rat_poly as encode_rat
+from phelix.polynomials import coefficient_strings as encode_rat
 
 units = st.sampled_from((0, 1, -1)).map(Fraction)
 coefficients = st.one_of(units, units, rationals)
