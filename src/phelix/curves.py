@@ -153,7 +153,7 @@ class QuaternionPolynomial:
 
     @property
     def coeffs(self) -> Tuple[Quaternion, ...]:
-        n = max(len(c.coeffs) for c in self.component_polys())
+        n = max((c.degree + 1 for c in self.component_polys() if not c.is_zero), default=0)
         return tuple(self.coefficient(k) for k in range(n))
 
     def coefficient(self, k: int) -> Quaternion:

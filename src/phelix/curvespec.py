@@ -299,17 +299,22 @@ def encode_rationals(values) -> list:
     return [str(v) for v in values]
 
 
+def _encode_parts(*parts: RatPoly) -> list:
+    """Ascending rows [str(part_0[k]), str(part_1[k]), ...], "0" past a part's end."""
+    return [list(c) for c in zip_longest(*map(coefficient_strings, parts), fillvalue="0")]
+
+
 def encode_gauss_poly(p: GaussPoly) -> list:
-    parts = zip_longest(coefficient_strings(p.re), coefficient_strings(p.im), fillvalue="0")
-    return [list(c) for c in parts]
+    return _encode_parts(p.re, p.im)
 
 
 def spec_to_doc(spec: CurveSpec) -> dict:
     """Canonical JSON-ready document; parse_spec inverts it exactly."""
     doc: dict = {"form": spec.form}
-    if spec.form in ("quaternion", "bezier-quaternion"):
-        quats = spec.payload.coeffs if spec.form == "quaternion" else spec.payload
-        doc["coefficients"] = [encode_rationals(q.components()) for q in quats]
+    if spec.form == "quaternion":
+        doc["coefficients"] = _encode_parts(*spec.payload.component_polys())
+    elif spec.form == "bezier-quaternion":
+        doc["coefficients"] = [encode_rationals(q.components()) for q in spec.payload]
     elif spec.form == "hopf":
         doc["coefficients"] = {
             "z1": encode_gauss_poly(spec.payload.z1),

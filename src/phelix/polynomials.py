@@ -10,23 +10,17 @@ product runs through its integer convolution.  A :class:`GaussPoly` is a
 pair of RatPolys (real and imaginary parts), and a quaternion polynomial
 (``curves.QuaternionPolynomial``) is four of them.
 
-A RatPoly has two views of one value: ``coeffs``, the canonical tuple of
-reduced Fractions, and an integer form (den, ints) with coeffs = ints / den,
-den any positive common denominator, not necessarily the least.  Each view
-is derived from the other at most once, on its first read.  A polynomial
-built from coefficients holds the tuple, and ``_cleared`` gives its form.
-The arithmetic hands on only the form: ``__mul__`` makes (d1 * d2,
-convolution), the sum kernel behind ``__add__`` and ``__sub__`` the ints
-added over lcm(d1, d2), ``derivative`` (den, k * ints[k]) and
-``perfect_square_root`` its integer root over 1.  Products, sums,
-``evaluate``, ``primitive_positive`` and ``perfect_square_root`` read the
-form, so a chain of ring operations clears each input's denominators once
-and builds no Fraction.  Rendering reads the form too: ``str()`` and
-``coefficient_strings`` write each coefficient from (den, ints) with one
-gcd, and one renderer serves a GaussPoly and, as the case with a zero
-imaginary part, a RatPoly.  The structure queries (``is_zero``, ``degree``,
-``leading_coefficient``, ``coefficient``) and ``==`` read whichever view
-exists; only hashing, division and ``monic`` read the tuple.
+A RatPoly stores one field, its integer form (den, ints): coefficients
+ints / den, den any positive common denominator, not necessarily the least.
+The arithmetic hands on forms: ``__mul__`` makes (d1 * d2, convolution),
+the sum kernel behind ``__add__`` and ``__sub__`` the ints added over
+lcm(d1, d2), ``derivative`` (den, k * ints[k]) and ``perfect_square_root``
+its integer root over 1.  The structure queries, ``==`` (cross-multiplied),
+``evaluate``, ``primitive_positive`` and the one renderer behind ``str()``
+and ``coefficient_strings`` read the form, so a chain of ring operations
+builds no Fraction; ``coeffs`` builds the reduced tuple on each read.  All
+Fraction arithmetic on coefficients runs in one Euclid kernel over Fraction
+lists, which ``divmod``, ``monic`` and ``poly_gcd`` call.
 
 The normal forms are:
 
@@ -162,44 +156,26 @@ class GaussianRational:
 class RatPoly:
     """Dense univariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("_coeffs", "_form")
+    __slots__ = ("_form",)
 
     def __init__(self, coeffs: Iterable[RatLike] = ()):
         cs = [as_fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        self._coeffs = tuple(cs)
-        self._form = None
+        self._form = _cleared(cs)
 
     @property
     def coeffs(self) -> Tuple[Fraction, ...]:
-        """Ascending reduced coefficients; built from the form at most once."""
-        cs = self._coeffs
-        if cs is None:
-            den, ints = self._form
-            cs = self._coeffs = tuple([Fraction(v, den) for v in ints])
-        return cs
-
-    def _integer_form(self) -> Tuple[int, List[int]]:
-        """(den, ints) with coeffs = ints / den; read-only, cleared at most once."""
-        form = self._form
-        if form is None:
-            form = self._form = _cleared(self._coeffs)
-        return form
+        """Ascending reduced coefficients, built from the form on each read."""
+        den, ints = self._form
+        return tuple([Fraction(v, den) for v in ints])
 
     @staticmethod
     def _from_form(den: int, ints: List[int]) -> "RatPoly":
-        """The RatPoly ints / den, holding only that form; ints has no trailing zeros."""
+        """The RatPoly ints / den; ints has no trailing zeros."""
         p = RatPoly.__new__(RatPoly)
-        p._coeffs = None
         p._form = (den, ints)
         return p
-
-    def _entries(self):
-        # whichever view exists: the tuple or the ints have the same length
-        # and the same zero entries, so structure reads either
-        cs = self._coeffs
-        return self._form[1] if cs is None else cs
 
     # -- construction helpers ------------------------------------------------
 
@@ -211,12 +187,12 @@ class RatPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self._entries()
+        return not self._form[1]
 
     @property
     def degree(self) -> Optional[int]:
         """Degree, or None for the zero polynomial."""
-        n = len(self._entries())
+        n = len(self._form[1])
         return n - 1 if n else None
 
     @property
@@ -226,12 +202,9 @@ class RatPoly:
         return self.coefficient(self.degree)
 
     def is_constant(self) -> bool:
-        return len(self._entries()) <= 1
+        return len(self._form[1]) <= 1
 
     def coefficient(self, k: int) -> Fraction:
-        cs = self._coeffs
-        if cs is not None:
-            return cs[k] if 0 <= k < len(cs) else Fraction(0)
         den, ints = self._form
         return Fraction(ints[k], den) if 0 <= k < len(ints) else Fraction(0)
 
@@ -262,8 +235,8 @@ class RatPoly:
         # self + sign * other on the integer forms: equal denominators add
         # the ints, others scale both to lcm(d1, d2).  Cancellation may leave
         # trailing zeros, which the normal form strips.
-        d1, a = self._integer_form()
-        d2, b = other._integer_form()
+        d1, a = self._form
+        d2, b = other._form
         den = d1
         if d1 != d2:
             g = math.gcd(d1, d2)
@@ -288,8 +261,8 @@ class RatPoly:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return RatPoly._from_form(1, [])
-        d1, a = self._integer_form()
-        d2, b = other._integer_form()
+        d1, a = self._form
+        d2, b = other._form
         # the leading entry is a product of two nonzero ones: no trailing zeros
         return RatPoly._from_form(d1 * d2, _convolve(a, b))
 
@@ -313,27 +286,26 @@ class RatPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatPoly):
             return NotImplemented
-        if self._coeffs is not None and other._coeffs is not None:
-            return self._coeffs == other._coeffs
         # a / d1 == b / d2 entry by entry, cross-multiplied
-        d1, a = self._integer_form()
-        d2, b = other._integer_form()
+        d1, a = self._form
+        d2, b = other._form
         return len(a) == len(b) and all(x * d2 == y * d1 for x, y in zip(a, b))
 
     def __hash__(self) -> int:
-        # the canonical tuple, so equal values hash equal whichever view they held
+        # the reduced tuple, so equal values hash equal whatever their denominators
         return hash(("RatPoly", self.coeffs))
 
     # -- calculus --------------------------------------------------------------
 
     def derivative(self) -> "RatPoly":
         # k * c_k over the same denominator; the leading k * c_n is nonzero
-        den, ints = self._integer_form()
+        den, ints = self._form
         return RatPoly._from_form(den, [k * ints[k] for k in range(1, len(ints))])
 
     def antiderivative(self) -> "RatPoly":
         """Term-wise antiderivative with zero constant term."""
-        return RatPoly([0] + [c / (k + 1) for k, c in enumerate(self.coeffs)])
+        den, ints = self._form
+        return RatPoly([0] + [Fraction(v, den * (k + 1)) for k, v in enumerate(ints)])
 
     # -- field-coefficient division --------------------------------------------
 
@@ -343,17 +315,8 @@ class RatPoly:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn = len(other.coeffs)
-        quot = [Fraction(0)] * (len(rem) - dn + 1)
-        inv_lead = 1 / other.coeffs[-1]
-        for k in range(len(rem) - dn, -1, -1):
-            c = rem[k + dn - 1] * inv_lead
-            quot[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] = rem[k + j] - c * b
-        return RatPoly(quot), RatPoly(rem[: dn - 1])
+        quot, rem = _fraction_divmod(self.coeffs, other.coeffs)
+        return RatPoly(quot), RatPoly(rem)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -367,8 +330,7 @@ class RatPoly:
     def monic(self):
         if self.is_zero:
             return self
-        inv = 1 / self.coeffs[-1]
-        return RatPoly([c * inv for c in self.coeffs])
+        return RatPoly(_fraction_monic(self.coeffs))
 
     def evaluate(self, point):
         # p(a/b) = sum c_k a^k b^(n-k) / b^n on the integer form: integer
@@ -376,7 +338,7 @@ class RatPoly:
         point = as_fraction(point)
         if self.is_zero:
             return Fraction(0)
-        den, ints = self._integer_form()
+        den, ints = self._form
         a, b = point.numerator, point.denominator
         acc, power = ints[-1], 1
         for c in reversed(ints[:-1]):
@@ -386,7 +348,7 @@ class RatPoly:
 
     def primitive_positive(self) -> Tuple[Fraction, "RatPoly"]:
         """Split into (content, primitive part with positive leading coefficient)."""
-        content, ints = _primitive(*self._integer_form())
+        content, ints = _primitive(*self._form)
         return content, RatPoly(ints)
 
     def __repr__(self) -> str:
@@ -465,7 +427,7 @@ class GaussPoly:
         return cls.from_parts(real, RatPoly())
 
     def _length(self) -> int:
-        return max(len(self.re._entries()), len(self.im._entries()))
+        return max(len(self.re._form[1]), len(self.im._form[1]))
 
     @property
     def is_zero(self) -> bool:
@@ -492,8 +454,8 @@ class GaussPoly:
     def _gaussian_integers(self, n: int) -> List[Tuple[int, int]]:
         """The first n coefficients times one positive common denominator,
         as Gaussian integers (x, y) = x + i*y; n is at least the length."""
-        dx, xs = self.re._integer_form()
-        dy, ys = self.im._integer_form()
+        dx, xs = self.re._form
+        dy, ys = self.im._form
         g = math.gcd(dx, dy)
         xs = [v * (dy // g) for v in xs] + [0] * (n - len(xs))
         ys = [v * (dx // g) for v in ys] + [0] * (n - len(ys))
@@ -557,10 +519,39 @@ def poly_gcd(a, b):
     """Monic gcd of two RatPolys over the rationals (Euclid with monic remainders)."""
     if a.is_zero and b.is_zero:
         raise DegenerateInputError("gcd of two zero polynomials is undefined")
-    while not b.is_zero:
-        r = a % b
-        a, b = b, (r.monic() if not r.is_zero else r)
-    return a.monic()
+    return RatPoly(_fraction_gcd(a.coeffs, b.coeffs))
+
+
+def _fraction_divmod(a, b) -> Tuple[List[Fraction], List[Fraction]]:
+    """Kernel division of ascending Fraction sequences (no trailing zeros, b
+    nonzero): the quotient and the remainder, stripped."""
+    rem = list(a)
+    dn = len(b)
+    quot = [Fraction(0)] * (len(rem) - dn + 1)
+    inv_lead = 1 / b[-1]
+    for k in range(len(rem) - dn, -1, -1):
+        c = rem[k + dn - 1] * inv_lead
+        quot[k] = c
+        if c:
+            for j, y in enumerate(b):
+                rem[k + j] = rem[k + j] - c * y
+    del rem[dn - 1 :]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
+
+
+def _fraction_monic(a) -> List[Fraction]:
+    inv = 1 / a[-1]
+    return [c * inv for c in a]
+
+
+def _fraction_gcd(a, b) -> List[Fraction]:
+    """Monic gcd of a and b, not both zero, by Euclid with monic remainders."""
+    while b:
+        r = _fraction_divmod(a, b)[1]
+        a, b = b, (_fraction_monic(r) if r else r)
+    return _fraction_monic(a)
 
 
 def squarefree_decompose(p: RatPoly) -> Tuple[Fraction, List[Tuple[RatPoly, int]]]:
@@ -671,7 +662,7 @@ def perfect_square_root(p: RatPoly) -> Optional[ScaledSqrt]:
         return ScaledSqrt.zero()
     if p.degree % 2:
         return None
-    content, target = _primitive(*p._integer_form())
+    content, target = _primitive(*p._form)
     if content <= 0:
         return None
     n = p.degree // 2
@@ -725,7 +716,7 @@ class RationalFunction:
             num = num.exact_div(g)
             den = den.exact_div(g)
         content, primitive = den.primitive_positive()
-        self.num = RatPoly([c / content for c in num.coeffs])
+        self.num = num * (1 / content)
         self.den = primitive
 
     @classmethod
@@ -825,13 +816,13 @@ def _render(re_form, im_form) -> str:
 
 def coefficient_strings(p: RatPoly) -> List[str]:
     """str() of each ascending coefficient, written from the integer form."""
-    den, ints = p._integer_form()
+    den, ints = p._form
     return [_fraction_str(v, den) for v in ints]
 
 
 def format_rat_poly(p: RatPoly) -> str:
-    return _render(p._integer_form(), (1, []))
+    return _render(p._form, (1, []))
 
 
 def format_gauss_poly(p: GaussPoly) -> str:
-    return _render(p.re._integer_form(), p.im._integer_form())
+    return _render(p.re._form, p.im._form)

@@ -1,17 +1,18 @@
 """How many Fractions a helix classify builds.
 
-Polynomials carry an integer form (den, ints), and the helix path reads it:
-the products behind the invariants and the constancy identity, the perfect
-squares, the Wronskian casework on Gaussian integers and the report's
-encoders and renderer.  A Fraction is built where a scalar is handed out
-(the slope, the axis, lambda, the dependence coefficients, the shared
-root) or where a spec is parsed.  This test counts calls to
-``Fraction.__new__`` over ``phelix classify <spec> --format json`` on a
-fixed corpus of 16 helix quintics, monotone and general alternating, drawn
-at height 12 from seed 1.  It is a count, not a timing, so it does not
-depend on the host.  Rebuilding the coefficient tuples anywhere on this
-path (about 476 Fractions per curve when the casework, the identity and
-the report still read them) fails it.
+A polynomial stores only its integer form (den, ints), and the helix path
+reads it: the products behind the invariants and the constancy identity,
+the perfect squares, the Wronskian casework on Gaussian integers and the
+report's encoders and renderer.  ``coeffs`` builds a fresh tuple of
+Fractions on each read, and nothing on this path reads it.  A Fraction is
+built where a scalar is handed out (the slope, the axis, lambda, a single
+coefficient, the dependence coefficients, the shared root) or where a spec
+is parsed.  This test counts calls to ``Fraction.__new__`` over ``phelix
+classify <spec> --format json`` on a fixed corpus of 16 helix quintics,
+monotone and general alternating, drawn at height 12 from seed 1.  It is a
+count, not a timing, so it does not depend on the host.  Reading the
+coefficient tuples anywhere on this path (about 476 Fractions per curve
+when the casework, the identity and the report still read them) fails it.
 """
 
 import contextlib

@@ -1,23 +1,26 @@
-"""The two views a RatPoly holds never disagree.
+"""A RatPoly's integer form and its coefficients never disagree.
 
-A RatPoly holds its value as ``coeffs``, the tuple of reduced Fractions, or
-as an integer form (den, ints) with coeffs = ints / den, where den is any
-positive common denominator.  Each view is derived from the other at most
-once, on its first read.  A polynomial built from coefficients holds the
-tuple; a product, power, sum, difference or derivative holds only the form.
-Polynomials are built here through those operations (cancelling sums among
-them), divisions and the parts of Gaussian products.  Every result's form
-must equal its coefficients in value, and every reader of the form
-(``evaluate``, ``primitive_positive``, ``perfect_square_root``) must answer
-as it does on a fresh ``RatPoly(p.coeffs)``, whose form is cleared from the
-lcm of the denominators.  Products are also checked coefficient by
-coefficient against a Fraction convolution, so a wrong denominator that a
-product's coefficients and form share still shows.  A sum that cancels must
-leave the normal form: no trailing zeros, and degree None for zero.
+A RatPoly stores one field, its integer form (den, ints) with coeffs =
+ints / den, where den is any positive common denominator.  A polynomial
+built from coefficients clears them over the lcm of their denominators; a
+product, power, sum, difference or derivative hands on a form whose
+denominator need not be the least.  Polynomials are built here through
+those operations (cancelling sums among them), divisions and the parts of
+Gaussian products.  Every result's form must equal its coefficients in
+value, and every reader must answer as it does on a fresh
+``RatPoly(p.coeffs)``, whose form is cleared from the lcm of the
+denominators: the form readers (``evaluate``, ``primitive_positive``,
+``perfect_square_root``) and the Fraction kernel's callers (``divmod``,
+``poly_gcd``, ``monic`` and ``RationalFunction``, each paired with a
+nonzero polynomial of the same chain).  Products are also checked
+coefficient by coefficient against a Fraction convolution, so a wrong
+denominator that a product's coefficients and form share still shows.  A
+sum that cancels must leave the normal form: no trailing zeros, and degree
+None for zero.
 
 Each op chain is built twice.  On the twin whose ``coeffs`` nobody reads,
-the structure queries and ``==`` must answer from the form alone, build no
-tuple, and agree with the answers the forced twin reads off its tuple.
+the structure queries and ``==`` must agree with the answers the other
+twin gives after reading its coefficients.
 """
 
 from fractions import Fraction
@@ -28,7 +31,14 @@ import hypothesis.strategies as st
 
 from conftest import rat_polys
 from oracles import convolve
-from phelix import DegenerateInputError, GaussPoly, RatPoly, perfect_square_root
+from phelix import (
+    DegenerateInputError,
+    GaussPoly,
+    RatPoly,
+    RationalFunction,
+    perfect_square_root,
+    poly_gcd,
+)
 
 OPS = ("mul", "pow", "add", "sub", "cancel", "derivative", "divmod", "gauss")
 POINTS = (Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 5), Fraction(-7, 4))
@@ -83,13 +93,14 @@ def apply(op, a: RatPoly, b: RatPoly, n: int) -> list:
 
 
 def check_form(p: RatPoly) -> None:
-    den, ints = p._integer_form()
+    den, ints = p._form
     assert den > 0
     assert tuple(Fraction(v, den) for v in ints) == p.coeffs
 
 
-def check_readers(p: RatPoly) -> None:
-    fresh = RatPoly(p.coeffs)
+def check_readers(p: RatPoly, partner: RatPoly) -> None:
+    """p's readers answer as on RatPoly(p.coeffs); partner is nonzero."""
+    fresh, fresh_partner = RatPoly(p.coeffs), RatPoly(partner.coeffs)
     for t in POINTS:
         assert p.evaluate(t) == fresh.evaluate(t)
     content, primitive = p.primitive_positive()
@@ -97,6 +108,15 @@ def check_readers(p: RatPoly) -> None:
     assert content == fresh_content
     assert primitive.coeffs == fresh_primitive.coeffs
     assert perfect_square_root(p) == perfect_square_root(fresh)
+    quot, rem = divmod(p, partner)
+    fresh_quot, fresh_rem = divmod(fresh, fresh_partner)
+    assert (quot.coeffs, rem.coeffs) == (fresh_quot.coeffs, fresh_rem.coeffs)
+    assert poly_gcd(p, partner).coeffs == poly_gcd(fresh, fresh_partner).coeffs
+    assert p.monic().coeffs == fresh.monic().coeffs
+    ratio = RationalFunction(p, partner)
+    fresh_ratio = RationalFunction(fresh, fresh_partner)
+    assert ratio.num.coeffs == fresh_ratio.num.coeffs
+    assert ratio.den.coeffs == fresh_ratio.den.coeffs
 
 
 def build(op, a: RatPoly, b: RatPoly, n: int) -> list:
@@ -146,9 +166,6 @@ def chains(pool: list, ops, max_degree: int):
             continue
         pool.extend(apply(op, a, b, n))
         made = build(op, twin[i % len(twin)], twin[j % len(twin)], n)
-        # only division builds tuples; a**0 is one() and a**1 is a itself
-        if op != "divmod" and not (op == "pow" and n < 2):
-            assert all(p._coeffs is None for p in made)
         if op == "gauss":
             gauss.append((GaussPoly.from_parts(*made), len(twin)))
         twin.extend(made)
@@ -158,12 +175,11 @@ def chains(pool: list, ops, max_degree: int):
 @given(st.lists(rat_polys, min_size=2, max_size=3), steps)
 def test_form_agrees_with_coeffs(pool, ops):
     forced, twin, gauss = chains(pool, ops, MAX_DEGREE)
-    for p in forced:
+    # one() stands in for a partner only when the whole chain is zero
+    nonzero = [p for p in forced if not p.is_zero] or [RatPoly.one()]
+    for k, p in enumerate(forced):
         check_form(p)
-        check_readers(p)
-    # forced now holds every tuple; the twin's structure answers come from
-    # whichever view it holds, and no answer may build a tuple
-    unread = [p._coeffs is None for p in twin]
+        check_readers(p, nonzero[k % len(nonzero)])
     for p, f in zip(twin, forced):
         assert structure(p) == structure(f)
         assert p == RatPoly(f.coeffs)
@@ -175,7 +191,6 @@ def test_form_agrees_with_coeffs(pool, ops):
         top = max(-1 if f.degree is None else f.degree for f in parts)
         assert g.degree == (None if top < 0 else top)
         assert g.is_zero == all(f.is_zero for f in parts)
-    assert [p._coeffs is None for p in twin] == unread
     for p, f in zip(twin, forced):
         assert p == f
         assert p.coeffs == f.coeffs
@@ -185,8 +200,8 @@ def test_form_agrees_with_coeffs(pool, ops):
 @given(st.lists(rat_polys, min_size=1, max_size=2), steps)
 def test_square_of_any_built_polynomial_has_its_root(pool, ops):
     # p * p carries a product form, so the hit branch of perfect_square_root
-    # reads it; its root must be the fresh polynomial's root, also when
-    # neither the square nor the root has built its tuple
+    # reads it; its root must be the fresh polynomial's root, also on the
+    # twin whose coefficients nobody has read
     forced, twin, _ = chains(pool, ops, MAX_DEGREE // 2)
     for p, q in zip(forced, twin):
         square = p * p
@@ -196,8 +211,6 @@ def test_square_of_any_built_polynomial_has_its_root(pool, ops):
         check_form(square)
         unread = q * q
         unread_root = perfect_square_root(unread)
-        assert unread._coeffs is None
-        assert unread_root.body._coeffs is None or unread.is_zero
         assert unread_root == root
 
 
@@ -223,7 +236,7 @@ def test_cancellation_keeps_the_normal_form(result, degree):
     assert hash(result) == hash(fresh)
     assert result.degree == degree
     check_form(result)
-    check_readers(result)
+    check_readers(result, P)
 
 
 HALF = RatPoly([Fraction(1, 2)])
@@ -250,10 +263,10 @@ QUARTER = RatPoly([Fraction(1, 4)])
          "zero-forms-unequal-dens", "zero-vs-nonzero"],
 )
 def test_equality_across_views(left, right, equal):
-    unread = (left._coeffs is None, right._coeffs is None)
+    # "form" is a value made by the arithmetic, "tuple" one built from
+    # coefficients: their denominators differ, and == cross-multiplies
     assert (left == right) is equal
     assert (right == left) is equal
-    assert (left._coeffs is None, right._coeffs is None) == unread
     if equal:
         assert hash(left) == hash(right)
     assert (left.coeffs == right.coeffs) is equal
@@ -264,12 +277,10 @@ def test_equality_across_views(left, right, equal):
     ids=["p-p", "constant-derivative", "unequal-dens", "empty"],
 )
 def test_zero_polynomial_structure_without_a_tuple(zero):
-    unread = zero._coeffs is None
     assert zero.is_zero and zero.degree is None and zero.is_constant()
     with pytest.raises(DegenerateInputError):
         zero.leading_coefficient
     assert [zero.coefficient(k) for k in (-1, 0, 1)] == [0, 0, 0]
     gauss = GaussPoly.from_parts(zero, zero)
     assert gauss.is_zero and gauss.degree is None
-    assert (zero._coeffs is None) == unread
     assert zero.coeffs == ()

@@ -336,7 +336,7 @@ class TestPerfectSquare:
         root = perfect_square_root(c * q * q)
         assert root == ScaledSqrt(root.scale, root.body)
         assert root == ScaledSqrt(c, q)
-        den, ints = root.body._integer_form()
+        den, ints = root.body._form
         assert tuple(Fraction(v, den) for v in ints) == root.body.coeffs
 
     @given(nonzero_rat_polys, rationals)

@@ -53,11 +53,15 @@ KEEP = {
     "curves.hodograph_from_quaternion": TRACER_HOOK,
     "cli.console_entry": "the console script, which only a subprocess runs",
     "polynomials.GaussPoly.monic": "public monotone_test reaches it on a proportional pair",
+    "polynomials.RatPoly.__mod__": PUBLIC_VALUE,
+    "polynomials.RatPoly.monic": "public; squarefree_decompose, a tracer hook, calls it",
     "polynomials.GaussianRational.__add__": PUBLIC_VALUE,
     "polynomials.GaussianRational.__sub__": PUBLIC_VALUE,
     "polynomials.GaussPoly.__add__": PUBLIC_VALUE,
     # only GaussPoly.__repr__ reads it
     "polynomials.GaussPoly.coeffs": PUBLIC_VALUE,
+    # only QuaternionPolynomial.__repr__ and the tests' reference hodograph read it
+    "curves.QuaternionPolynomial.coeffs": PUBLIC_VALUE,
     "polynomials.RationalFunction.is_zero": PUBLIC_VALUE,
     "polynomials.RationalFunction.evaluate": PUBLIC_VALUE,
 }
