@@ -13,14 +13,27 @@ is nonzero).
 Every question reads the same four invariants of the hodograph, so they are
 built once into an :class:`Invariants` record and each verdict reads that.
 
-Constancy of (tau/kappa)^2 = det^2 sigma^6 / rho^6 is the polynomial
-identity det^2 sigma^6 = lambda rho^6, with lambda pinned by degrees and
-leading coefficients.  The identity at t = 0, on the constant coefficients,
-rejects most non-constant inputs before any product is formed, and a
-survivor is settled by the identity itself.  Its products run on the
-integer forms of the invariants, so it neither divides nor builds a
-coefficient tuple.  The test reads only the hodograph, so every spec
-form takes it.
+Constancy of (tau/kappa)^2 = det^2 sigma^6 / rho^6 is decided by one of two
+polynomial identities.  Each pins its constant by degrees and leading
+coefficients, checks itself at t = 0 on the constant coefficients, which
+rejects most non-constant inputs before any product is formed, and settles
+a survivor by the identity itself.
+
+* When both norms are polynomials, sigma = sqrt(s) b and rho = sqrt(r) c
+  with b and c primitive integer bodies, and the test is det b^3 = mu c^3,
+  of half the degree, with lambda = mu^2 s^3 / r^3.  The two tests agree:
+  ``perfect_square_root`` squares each root back before returning it, so
+  sigma^2 = s b^2 and rho^2 = r c^2 hold exactly, and in Q[t] an identity
+  P^2 = K Q^2 with Q != 0 forces K = k^2 for a rational k and P = +/- k Q.
+  So det^2 sigma^6 = lambda rho^6 holds exactly when det b^3 = mu c^3
+  does, with the same lambda.
+* Otherwise the test is det^2 (sigma^2)^3 = lambda (rho^2)^3.  A root that
+  ``perfect_square_root`` wrongly missed only sends an input to this
+  identity, so it cannot change a verdict.
+
+Both identities run on integer forms, so neither divides nor builds a
+coefficient tuple.  They read only the hodograph and its norms, so every
+spec form takes the same identity on the same curve.
 """
 
 from __future__ import annotations
@@ -169,15 +182,23 @@ def _scan_points(n: int) -> Iterator[Fraction]:
         yield Fraction((k + 1) // 2 if k % 2 else -(k // 2))
 
 
-def _constant_ratio_value(inv: Invariants) -> Optional[Fraction]:
-    """The constant value of det^2 (s2)^3 / (rho^2)^3, or None.
+def _constant_ratio_value(
+    inv: Invariants, sigma: Optional[ScaledSqrt], rho: Optional[ScaledSqrt]
+) -> Optional[Fraction]:
+    """The constant value lambda of det^2 (sigma^2)^3 / (rho^2)^3, or None.
 
-    Constancy means det^2 * s2^3 = lambda * (rho^2)^3 as polynomials.  The
-    candidate lambda is pinned by degrees and leading coefficients, and the
-    identity at t = 0, read off the constant coefficients, rejects most
-    non-constant inputs before any product is formed.  A survivor is settled
-    by the identity itself, whose products run on the integer forms.
+    With both norms the test is det b^3 = mu c^3 on their bodies (degree 18
+    on a quintic) and lambda = mu^2 s^3 / r^3; without them it is
+    det^2 (sigma^2)^3 = lambda (rho^2)^3 (degree 36).  The module docstring
+    shows that the two agree.
     """
+    if sigma is None or rho is None:
+        return _ratio_on_squares(inv)
+    return _ratio_on_bodies(inv.det, sigma, rho)
+
+
+def _ratio_on_squares(inv: Invariants) -> Optional[Fraction]:
+    """lambda with det^2 * s2^3 = lambda * (rho^2)^3 as polynomials, or None."""
     det, s2, rho_squared = inv.det, inv.sigma_squared, inv.rho_squared
     if 2 * det.degree + 3 * s2.degree != 3 * rho_squared.degree:
         return None
@@ -192,14 +213,43 @@ def _constant_ratio_value(inv: Invariants) -> Optional[Fraction]:
     return lam if det * det * s2**3 == lam * rho_squared**3 else None
 
 
-def helix_verdict(inv: Invariants) -> HelixVerdict:
-    """Constant-slope classification from the invariants of a hodograph."""
+def _ratio_on_bodies(det: RatPoly, sigma: ScaledSqrt, rho: ScaledSqrt) -> Optional[Fraction]:
+    """mu^2 s^3 / r^3 when det * b^3 = mu * c^3 as polynomials, else None.
+
+    The bodies b and c have denominator 1 and det = ints / den, so with
+    mu = lc(det) lc(b)^3 / lc(c)^3 the identity, times den * lc(c)^3, reads
+    lc(c)^3 * ints * b^3 = lc(ints) lc(b)^3 * c^3 on integers.
+    """
+    b, c = sigma.body, rho.body
+    if det.degree + 3 * b.degree != 3 * c.degree:
+        return None
+    b3 = b**3
+    den, d = det._form
+    (_, bs), (_, cs) = b3._form, (c**3)._form
+    u, v = cs[-1], d[-1] * bs[-1]
+    # at t = 0 first, then in full; the degrees make the lengths agree
+    if u * d[0] * bs[0] != v * cs[0]:
+        return None
+    if any(u * x != v * y for x, y in zip((det * b3)._form[1], cs)):
+        return None
+    s, r = sigma.scale, rho.scale
+    return Fraction(
+        v * v * s.numerator**3 * r.denominator**3,
+        (den * u) ** 2 * s.denominator**3 * r.numerator**3,
+    )
+
+
+def helix_verdict(
+    inv: Invariants, sigma: Optional[ScaledSqrt], rho: Optional[ScaledSqrt]
+) -> HelixVerdict:
+    """Constant-slope classification from the invariants of a hodograph and
+    its norms (sigma, rho), as ``norms(inv)`` gives them."""
     if inv.rho_squared.is_zero:
         return HelixVerdict(HelixKind.LINE)
     if inv.det.is_zero:
         axis, slope = _extract_axis(inv)
         return HelixVerdict(HelixKind.PLANAR, slope, axis)
-    lam2 = _constant_ratio_value(inv)
+    lam2 = _constant_ratio_value(inv, sigma, rho)
     if lam2 is None:
         return HelixVerdict(HelixKind.NOT_HELIX)
     axis, slope = _extract_axis(inv)
@@ -212,7 +262,8 @@ def helix_verdict(inv: Invariants) -> HelixVerdict:
 
 def is_helix(h: Hodograph) -> HelixVerdict:
     """Constant-slope classification of an arbitrary polynomial hodograph."""
-    return helix_verdict(invariants(h))
+    inv = invariants(h)
+    return helix_verdict(inv, *norms(inv))
 
 
 def _integer_cleared(values) -> Tuple[Fraction, ...]:
@@ -356,4 +407,4 @@ def analyze(h: Hodograph) -> CurveAnalysis:
     """Run every analysis that is defined for the input and bundle the results."""
     inv = invariants(h)
     sigma, rho = norms(inv)
-    return CurveAnalysis(inv, sigma, rho, helix_verdict(inv))
+    return CurveAnalysis(inv, sigma, rho, helix_verdict(inv, sigma, rho))

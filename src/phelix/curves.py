@@ -19,8 +19,9 @@ of -.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DegenerateInputError, UnsupportedDegreeError
 from .polynomials import GaussPoly, RatLike, RatPoly, as_fraction
@@ -158,6 +159,14 @@ class QuaternionPolynomial:
 
     def coefficient(self, k: int) -> Quaternion:
         return Quaternion(*(c.coefficient(k) for c in self.component_polys()))
+
+    def _integer_coefficients(self, n: int) -> Tuple[int, List[Tuple[int, int, int, int]]]:
+        """(den, q): coefficient k is q[k] / den, its (w, x, y, z) parts as
+        integers over one positive common denominator; n is at least the length."""
+        forms = [c._form for c in self.component_polys()]
+        den = math.lcm(*(d for d, _ in forms))
+        parts = [[v * (den // d) for v in ints] + [0] * (n - len(ints)) for d, ints in forms]
+        return den, list(zip(*parts))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, QuaternionPolynomial):

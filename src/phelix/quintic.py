@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .analysis import CurveAnalysis, HelixKind, analyze, is_helix
 from .curves import (
@@ -43,6 +43,8 @@ from .polynomials import GaussPoly, GaussianRational, RatPoly, wronskian
 QUINTIC_MAX_DEGREE = 2
 
 CurveInput = Union[QuaternionPolynomial, HopfPair]
+# a quaternion coefficient, or its integer parts (w, x, y, z) over a denominator
+QuaternionParts = Union[Quaternion, Tuple[int, int, int, int]]
 
 
 class DecompositionCase:
@@ -260,15 +262,19 @@ def monotone_test(pair: HopfPair) -> Optional[GaussPoly]:
 
 
 def quaternion_dependence(
-    a0: Quaternion, a1: Quaternion, a2: Quaternion
+    a0: QuaternionParts, a1: QuaternionParts, a2: QuaternionParts
 ) -> Optional[DependenceSolution]:
     """Exact solution of the four-equation system A1 = c0*A0 + c2*A2.
 
+    Each coefficient is a Quaternion or its parts (w, x, y, z).  Each
+    equation is homogeneous, so integer parts over one common denominator
+    give the same solution; a candidate c = n / det is checked on every
+    equation times det, so only the solution itself is divided out.
     Returns None when the system is inconsistent.  When A0 and A2 are
     linearly dependent the solution is not unique; one consistent pair is
     returned with the degenerate flag set.
     """
-    rows = list(zip(a0.components(), a2.components(), a1.components()))
+    rows = list(zip(*(a.components() if isinstance(a, Quaternion) else a for a in (a0, a2, a1))))
     # find a 2x2 invertible minor
     for i in range(4):
         for j in range(i + 1, 4):
@@ -276,52 +282,47 @@ def quaternion_dependence(
             p1, q1, r1 = rows[j]
             det = p0 * q1 - p1 * q0
             if det:
-                c0 = (r0 * q1 - r1 * q0) / det
-                c2 = (p0 * r1 - p1 * r0) / det
-                candidate = DependenceSolution(c0, c2)
-                return candidate if _dependence_holds(rows, candidate) else None
+                n0, n2 = r0 * q1 - r1 * q0, p0 * r1 - p1 * r0
+                if any(p * n0 + q * n2 != r * det for p, q, r in rows):
+                    return None
+                return DependenceSolution(Fraction(n0, det), Fraction(n2, det))
     # A0, A2 linearly dependent: try expressing A1 along whichever is nonzero
     for pick in (0, 1):
         base = [row[pick] for row in rows]
         if not any(base):
             continue
         k = next(i for i, b in enumerate(base) if b)
-        coeff = rows[k][2] / base[k]
-        candidate = (
-            DependenceSolution(coeff, Fraction(0), True)
-            if pick == 0
-            else DependenceSolution(Fraction(0), coeff, True)
-        )
-        if _dependence_holds(rows, candidate):
-            return candidate
-        return None
+        if any(row[pick] * rows[k][2] != row[2] * base[k] for row in rows):
+            return None
+        coeff = Fraction(rows[k][2], base[k])
+        if pick == 0:
+            return DependenceSolution(coeff, Fraction(0), True)
+        return DependenceSolution(Fraction(0), coeff, True)
     # A0 = A2 = 0: consistent only for A1 = 0
-    if a1.is_zero:
+    if not any(row[2] for row in rows):
         return DependenceSolution(Fraction(0), Fraction(0), True)
     return None
 
 
-def _dependence_holds(rows, sol: DependenceSolution) -> bool:
-    return all(p * sol.c0 + q * sol.c2 == r for p, q, r in rows)
-
-
-def _quadratic_coefficients(a: QuaternionPolynomial) -> Tuple[Quaternion, Quaternion, Quaternion]:
+def _quadratic_coefficients(a: QuaternionPolynomial) -> Tuple[int, List[QuaternionParts]]:
+    """(den, [A0, A1, A2]), each coefficient's parts as integers over den."""
     if (a.degree or 0) > QUINTIC_MAX_DEGREE:
         raise UnsupportedDegreeError(
             f"expected a quaternion polynomial of degree at most 2, got {a.degree}"
         )
-    return a.coefficient(0), a.coefficient(1), a.coefficient(2)
+    return a._integer_coefficients(3)
 
 
 def constant_z_parameters(a: QuaternionPolynomial) -> ConstantZParameters:
     """Rotation and weight parameters of the constant-z route for a quadratic."""
-    a0, _, a2 = _quadratic_coefficients(a)
-    w0, x0, y0, z0 = a0.components()
-    w2, x2, y2, z2 = a2.components()
+    den, (a0, _, a2) = _quadratic_coefficients(a)
+    w0, x0, y0, z0 = a0
+    w2, x2, y2, z2 = a2
+    # integer parts over den: n and d carry den^2
     n = y0 * w2 + z0 * x2 - w0 * y2 - x0 * z2
     d = z0 * w2 - y0 * x2 + x0 * y2 - w0 * z2
-    tan_two_theta = None if not d else n / d
-    m1_squared = 4 * (n * n + d * d)
+    tan_two_theta = None if not d else Fraction(n, d)
+    m1_squared = Fraction(4 * (n * n + d * d), den**4)
 
     m0_over_m1 = m2_over_m1 = None
     try:
@@ -401,8 +402,8 @@ def _route_case(decomposition: WronskianDecomposition, pair: HopfPair) -> Quinti
         )
     if shared is not None:
         return QuinticClass(QuinticKind.MONOTONE_HELIX, shared_factor=shared)
-    quat = quaternion_from_hopf(pair)
-    dependence = quaternion_dependence(*(quat.coefficient(k) for k in range(3)))
+    _, coefficients = _quadratic_coefficients(quaternion_from_hopf(pair))
+    dependence = quaternion_dependence(*coefficients)
     # dependence can legitimately be absent when the Wronskian's linear
     # coefficient vanishes (m1 = 0); the curve is still a helix
     return QuinticClass(QuinticKind.GENERAL_HELIX, dependence=dependence)

@@ -39,6 +39,7 @@ from phelix import (
     is_helix,
     is_ph,
     lancret_ratio_squared,
+    norms,
     wronskian,
 )
 from phelix.quintic import generate_general_quintic, generate_monotone_quintic
@@ -342,7 +343,8 @@ class TestHelixAxis:
             # in the plane z = x + y, so all three cross-product entries are nonzero
             x, y = RatPoly([0, 2]), RatPoly([1, 0, -1])
             h = Hodograph(x, y, x + y)
-        expected = helix_verdict(invariants(h))
+        inv = invariants(h)
+        expected = helix_verdict(inv, *norms(inv))
         assert expected.kind == (HelixKind.PLANAR if family == "planar" else HelixKind.HELIX)
         # f vanishes at the first 8 scan points 0, 1, -1, 2, -2, 3, -3, 4; the
         # hodograph f * h scales the axis candidate by f^6 and keeps kind,
@@ -351,7 +353,8 @@ class TestHelixAxis:
         for root in (0, 1, -1, 2, -2, 3, -3, 4):
             f = f * RatPoly([-root, 1])
         scaled = Hodograph(*(f * p for p in h.vector()))
-        assert helix_verdict(invariants(scaled)) == expected
+        inv = invariants(scaled)
+        assert helix_verdict(inv, *norms(inv)) == expected
 
     def test_vanishing_candidate_raises(self):
         # inconsistent on purpose: rho^2 is nonzero, the cross vector is zero
@@ -360,7 +363,7 @@ class TestHelixAxis:
             (RatPoly([1]), zero, zero), RatPoly([1]), (zero, zero, zero), RatPoly([1]), zero
         )
         with pytest.raises(InternalInconsistencyError, match="vanished identically"):
-            helix_verdict(inv)
+            helix_verdict(inv, *norms(inv))
 
     def test_verdict_mismatch(self):
         # a non-helix verdict carries neither an axis nor a slope

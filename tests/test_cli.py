@@ -20,6 +20,7 @@ from phelix import (
     Quaternion,
     QuaternionPolynomial,
     RatPoly,
+    ScaledSqrt,
     classify_quintic,
     generate_general_quintic,
     generate_monotone_quintic,
@@ -354,15 +355,24 @@ class TestOneAnalysisPerReport:
         assert "control quaternions are all zero" in capsys.readouterr().err
 
 
+def _norms_with_wrong_body(inv):
+    """(sigma, rho) with rho's body c replaced by c + 1 and the same scale:
+    the body identity then fails on a helix."""
+    sigma, rho = perfect_square_root(inv.sigma_squared), perfect_square_root(inv.rho_squared)
+    return sigma, ScaledSqrt(rho.scale, rho.body + 1)
+
+
 # Exit code 3 is reserved for two routes that disagree.  Each fault breaks
 # one consistency check of the quintic classifier or of the constant-slope
-# test on example1, a monotone helix: (phelix module, attribute, replacement,
-# message of the InternalInconsistencyError it must raise).
+# test: (phelix module, attribute, replacement, message of the
+# InternalInconsistencyError it must raise).  It runs on example1, a
+# monotone helix, whose constancy test reads the norms' bodies, unless
+# FAULT_DOCS names another curve.
 FAULTS = {
     "slope-route": (
         analysis,
         "helix_verdict",
-        lambda inv: HelixVerdict(HelixKind.NOT_HELIX),
+        lambda inv, sigma, rho: HelixVerdict(HelixKind.NOT_HELIX),
         "algebraic classification disagrees with the constant-slope test",
     ),
     "route-case": (
@@ -394,8 +404,21 @@ FAULTS = {
     "slope-ratio": (
         analysis,
         "_constant_ratio_value",
-        lambda inv: Fraction(1),
+        lambda inv, sigma, rho: Fraction(1),
         "slope from axis disagrees with the torsion/curvature ratio",
+    ),
+    "wrong-body": (
+        analysis,
+        "norms",
+        _norms_with_wrong_body,
+        "algebraic classification disagrees with the constant-slope test",
+    ),
+    # the degree-36 identity, which only a curve that is not 2-PH reaches
+    "squares-ratio": (
+        analysis,
+        "_ratio_on_squares",
+        lambda inv: Fraction(1),
+        "axis identities failed",
     ),
     "axis-identities": (
         analysis,
@@ -404,6 +427,10 @@ FAULTS = {
         "axis identities failed",
     ),
 }
+
+# a quaternion quadratic whose rho^2 is no square: its constancy test runs
+# the degree-36 identity
+FAULT_DOCS = {"squares-ratio": NOT_HELIX_DOC}
 
 
 @pytest.mark.parametrize("fault", FAULTS)
@@ -414,11 +441,13 @@ class TestInternalInconsistency:
         monkeypatch.setattr(module, attribute, replacement)
 
     def test_classify_quintic_raises(self, fault):
+        doc = FAULT_DOCS.get(fault, EXAMPLE1_DOC)
         with pytest.raises(InternalInconsistencyError, match=FAULTS[fault][3]):
-            classify_quintic(parse_spec(EXAMPLE1_DOC).quaternion_form())
+            classify_quintic(parse_spec(doc).quaternion_form())
 
     def test_cli_exit_code(self, fault, tmp_path, capsys):
-        assert main(["classify", write_doc(tmp_path, EXAMPLE1_DOC)]) == 3
+        doc = FAULT_DOCS.get(fault, EXAMPLE1_DOC)
+        assert main(["classify", write_doc(tmp_path, doc)]) == 3
         assert f"internal inconsistency: {FAULTS[fault][3]}" in capsys.readouterr().err
 
 

@@ -27,7 +27,7 @@ from phelix.curves import quaternion_from_hopf
 from phelix.curvespec import CurveSpec, dump_spec
 
 CURVES = 16
-BUDGET_PER_CURVE = 160
+BUDGET_PER_CURVE = 100
 
 
 def helix_specs(dest, seed: int = 1, count: int = CURVES, height: int = 12):

@@ -243,6 +243,19 @@ class TestConstantZParameters:
         assert params.m2_over_m1 == Fraction(-3, 7)
         assert predicted_dependence(params) == (Fraction(-6, 7), Fraction(-6, 7))
 
+    def test_rational_parts(self):
+        # the parameters read the parts as integers over one denominator;
+        # they must equal the formulas on the rational parts themselves
+        rng = seeded(98)
+        for _ in range(10):
+            quat = generate_general_quintic(rng, height=6)
+            (w0, x0, y0, z0), (w2, x2, y2, z2) = (quat.coefficient(k).components() for k in (0, 2))
+            n = y0 * w2 + z0 * x2 - w0 * y2 - x0 * z2
+            d = z0 * w2 - y0 * x2 + x0 * y2 - w0 * z2
+            params = constant_z_parameters(quat)
+            assert params.m1_squared == 4 * (n * n + d * d)
+            assert params.tan_two_theta == (n / d if d else None)
+
     def test_degenerate_when_top_coefficient_zero(self):
         a = QuaternionPolynomial([Quaternion(1, 2, 3, 4), Quaternion(0, 1, 0, 0)])
         params = constant_z_parameters(a)
