@@ -1,39 +1,38 @@
 """Differential-geometric analysis of a hodograph, all in exact arithmetic.
 
 The central questions — is the speed a polynomial, is the cross-product norm
-a polynomial, is the torsion/curvature ratio constant — are decided as exact
-algebraic identities on rational polynomials, never by sampling.  The ratio
-test works on (tau/kappa)^2, which is always an honest rational function even
-when the norms themselves carry irrational square-root scales; constancy of
-the square suffices because with a nonzero constant lambda the identity
-det * sigma^3 = +/- lambda * rho^3 cannot switch branch where rho > 0 (a sign
-change would force a zero of the left side at a point where the right side
-is nonzero).
+a polynomial, is the curve a helix — are decided as exact algebraic
+identities on rational polynomials, never by sampling.
 
 Every question reads the same four invariants of the hodograph, so they are
 built once into an :class:`Invariants` record and each verdict reads that.
 
-Constancy of (tau/kappa)^2 = det^2 sigma^6 / rho^6 is decided by one of two
-polynomial identities.  Each pins its constant by degrees and leading
-coefficients, checks itself at t = 0 on the constant coefficients, which
-rejects most non-constant inputs before any product is formed, and settles
-a survivor by the identity itself.
+A helix is a curve whose tangent keeps a constant angle with a fixed axis u.
+Away from lines and planar curves, the verdict reads only the axis
+identities <u, alpha'>^2 = s |u|^2 sigma^2 and
+<u, alpha' ^ alpha''>^2 = (1 - s) |u|^2 rho^2 for the one candidate u that
+:func:`_extract_axis` takes, with s = slope^2.  Four facts make that the
+whole test.
 
-* When both norms are polynomials, sigma = sqrt(s) b and rho = sqrt(r) c
-  with b and c primitive integer bodies, and the test is det b^3 = mu c^3,
-  of half the degree, with lambda = mu^2 s^3 / r^3.  The two tests agree:
-  ``perfect_square_root`` squares each root back before returning it, so
-  sigma^2 = s b^2 and rho^2 = r c^2 hold exactly, and in Q[t] an identity
-  P^2 = K Q^2 with Q != 0 forces K = k^2 for a rational k and P = +/- k Q.
-  So det^2 sigma^6 = lambda rho^6 holds exactly when det b^3 = mu c^3
-  does, with the same lambda.
-* Otherwise the test is det^2 (sigma^2)^3 = lambda (rho^2)^3.  A root that
-  ``perfect_square_root`` wrongly missed only sends an input to this
-  identity, so it cannot change a verdict.
+* The identities imply a helix.  With |u| = 1 they give <u, T>^2 = s and
+  <u, B>^2 = 1 - s, so <u, N> = 0; differentiating <u, T> and <u, B> gives
+  kappa <u, T> = tau <u, B>, so (tau/kappa)^2 = s / (1 - s) is constant.
+  That is the lambda^2 that ``CurveAnalysis.lancret_ratio_squared`` reads
+  off the slope.
+* A helix passes the identities.  The candidate det sigma^2 alpha' +
+  rho^2 (alpha' ^ alpha'') is sigma^3 rho^2 times the Darboux vector
+  tau T + kappa B, which on a helix is a scalar times the axis.
+* A helix is 2-PH, in any degree.  Lines and planar curves are decided
+  first, so 0 < s < 1, and then sigma^2 = <u, alpha'>^2 / (s |u|^2) and
+  rho^2 = <u, alpha' ^ alpha''>^2 / ((1 - s) |u|^2) are positive multiples
+  of rational squares.  So :func:`analyze` treats a helix verdict beside a
+  missing norm as an internal inconsistency.
+* The scan never comes back empty.  alpha' is orthogonal to
+  alpha' ^ alpha'', so off a line the candidate is not identically zero,
+  and a scan of deg + 1 points finds a point where it is nonzero.
 
-Both identities run on integer forms, so neither divides nor builds a
-coefficient tuple.  They read only the hodograph and its norms, so every
-spec form takes the same identity on the same curve.
+The verdict reads no square root, so every spec form takes the same test on
+the same curve.
 """
 
 from __future__ import annotations
@@ -182,88 +181,25 @@ def _scan_points(n: int) -> Iterator[Fraction]:
         yield Fraction((k + 1) // 2 if k % 2 else -(k // 2))
 
 
-def _constant_ratio_value(
-    inv: Invariants, sigma: Optional[ScaledSqrt], rho: Optional[ScaledSqrt]
-) -> Optional[Fraction]:
-    """The constant value lambda of det^2 (sigma^2)^3 / (rho^2)^3, or None.
-
-    With both norms the test is det b^3 = mu c^3 on their bodies (degree 18
-    on a quintic) and lambda = mu^2 s^3 / r^3; without them it is
-    det^2 (sigma^2)^3 = lambda (rho^2)^3 (degree 36).  The module docstring
-    shows that the two agree.
-    """
-    if sigma is None or rho is None:
-        return _ratio_on_squares(inv)
-    return _ratio_on_bodies(inv.det, sigma, rho)
-
-
-def _ratio_on_squares(inv: Invariants) -> Optional[Fraction]:
-    """lambda with det^2 * s2^3 = lambda * (rho^2)^3 as polynomials, or None."""
-    det, s2, rho_squared = inv.det, inv.sigma_squared, inv.rho_squared
-    if 2 * det.degree + 3 * s2.degree != 3 * rho_squared.degree:
-        return None
-    lam = (
-        det.leading_coefficient**2
-        * s2.leading_coefficient**3
-        / rho_squared.leading_coefficient**3
-    )
-    d0, s0, r0 = det.coefficient(0), s2.coefficient(0), rho_squared.coefficient(0)
-    if d0 * d0 * s0**3 != lam * r0**3:
-        return None
-    return lam if det * det * s2**3 == lam * rho_squared**3 else None
-
-
-def _ratio_on_bodies(det: RatPoly, sigma: ScaledSqrt, rho: ScaledSqrt) -> Optional[Fraction]:
-    """mu^2 s^3 / r^3 when det * b^3 = mu * c^3 as polynomials, else None.
-
-    The bodies b and c have denominator 1 and det = ints / den, so with
-    mu = lc(det) lc(b)^3 / lc(c)^3 the identity, times den * lc(c)^3, reads
-    lc(c)^3 * ints * b^3 = lc(ints) lc(b)^3 * c^3 on integers.
-    """
-    b, c = sigma.body, rho.body
-    if det.degree + 3 * b.degree != 3 * c.degree:
-        return None
-    b3 = b**3
-    den, d = det._form
-    (_, bs), (_, cs) = b3._form, (c**3)._form
-    u, v = cs[-1], d[-1] * bs[-1]
-    # at t = 0 first, then in full; the degrees make the lengths agree
-    if u * d[0] * bs[0] != v * cs[0]:
-        return None
-    if any(u * x != v * y for x, y in zip((det * b3)._form[1], cs)):
-        return None
-    s, r = sigma.scale, rho.scale
-    return Fraction(
-        v * v * s.numerator**3 * r.denominator**3,
-        (den * u) ** 2 * s.denominator**3 * r.numerator**3,
-    )
-
-
-def helix_verdict(
-    inv: Invariants, sigma: Optional[ScaledSqrt], rho: Optional[ScaledSqrt]
-) -> HelixVerdict:
-    """Constant-slope classification from the invariants of a hodograph and
-    its norms (sigma, rho), as ``norms(inv)`` gives them."""
+def helix_verdict(inv: Invariants) -> HelixVerdict:
+    """Constant-slope classification from the invariants of a hodograph: off
+    lines and planar curves, a helix exactly when the axis identities hold."""
     if inv.rho_squared.is_zero:
         return HelixVerdict(HelixKind.LINE)
+    axis = _extract_axis(inv)
+    slope = _verify_axis(axis, inv)
     if inv.det.is_zero:
-        axis, slope = _extract_axis(inv)
+        if slope is None:
+            raise InternalInconsistencyError("axis identities failed")
         return HelixVerdict(HelixKind.PLANAR, slope, axis)
-    lam2 = _constant_ratio_value(inv, sigma, rho)
-    if lam2 is None:
+    if slope is None:
         return HelixVerdict(HelixKind.NOT_HELIX)
-    axis, slope = _extract_axis(inv)
-    if slope != lam2 / (1 + lam2):
-        raise InternalInconsistencyError(
-            "slope from axis disagrees with the torsion/curvature ratio"
-        )
     return HelixVerdict(HelixKind.HELIX, slope, axis)
 
 
 def is_helix(h: Hodograph) -> HelixVerdict:
     """Constant-slope classification of an arbitrary polynomial hodograph."""
-    inv = invariants(h)
-    return helix_verdict(inv, *norms(inv))
+    return helix_verdict(invariants(h))
 
 
 def _integer_cleared(values) -> Tuple[Fraction, ...]:
@@ -305,8 +241,8 @@ def _degree_bound(vec) -> int:
     return max((p.degree for p in vec if not p.is_zero), default=0)
 
 
-def _extract_axis(inv: Invariants) -> Tuple[Tuple[Fraction, Fraction, Fraction], Fraction]:
-    """Recover the constant axis direction, verifying the defining identities.
+def _extract_axis(inv: Invariants) -> Tuple[Fraction, Fraction, Fraction]:
+    """The axis candidate: the only direction that can be the constant axis.
 
     The axis is the Darboux direction tau*t + kappa*b, scaled by
     sigma^3 * rho^2 so that the vector reads det * sigma^2 * alpha' +
@@ -314,7 +250,7 @@ def _extract_axis(inv: Invariants) -> Tuple[Tuple[Fraction, Fraction, Fraction],
     polynomial times the constant direction; on a planar curve det = 0 and it
     is the plane normal times rho^2 = |alpha' ^ alpha''|^2.  Its value at any
     parameter where it does not vanish is therefore the axis, assembled from
-    the values of its factors, and the verified identities make that exact.
+    the values of its factors, and the axis identities make that exact.
     The vector has degree at most deg, so unless it vanishes identically it
     is nonzero at one of any deg + 1 distinct points.
     """
@@ -329,11 +265,7 @@ def _extract_axis(inv: Invariants) -> Tuple[Tuple[Fraction, Fraction, Fraction],
         r2_t = r2.evaluate(t)
         values = tuple(det_s2 * p.evaluate(t) + r2_t * q.evaluate(t) for p, q in zip(v, c))
         if any(values):
-            axis = _integer_cleared(values)
-            slope = _verify_axis(axis, inv)
-            if slope is None:
-                raise InternalInconsistencyError("axis identities failed")
-            return axis, slope
+            return _integer_cleared(values)
     raise InternalInconsistencyError("axis candidate vector vanished identically")
 
 
@@ -407,4 +339,8 @@ def analyze(h: Hodograph) -> CurveAnalysis:
     """Run every analysis that is defined for the input and bundle the results."""
     inv = invariants(h)
     sigma, rho = norms(inv)
-    return CurveAnalysis(inv, sigma, rho, helix_verdict(inv, sigma, rho))
+    verdict = helix_verdict(inv)
+    if verdict.kind == HelixKind.HELIX and (sigma is None or rho is None):
+        # a helix is 2-PH in any degree (module docstring)
+        raise InternalInconsistencyError("helix verdict on a curve that is not 2-PH")
+    return CurveAnalysis(inv, sigma, rho, verdict)

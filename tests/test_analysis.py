@@ -39,7 +39,6 @@ from phelix import (
     is_helix,
     is_ph,
     lancret_ratio_squared,
-    norms,
     wronskian,
 )
 from phelix.quintic import generate_general_quintic, generate_monotone_quintic
@@ -344,7 +343,7 @@ class TestHelixAxis:
             x, y = RatPoly([0, 2]), RatPoly([1, 0, -1])
             h = Hodograph(x, y, x + y)
         inv = invariants(h)
-        expected = helix_verdict(inv, *norms(inv))
+        expected = helix_verdict(inv)
         assert expected.kind == (HelixKind.PLANAR if family == "planar" else HelixKind.HELIX)
         # f vanishes at the first 8 scan points 0, 1, -1, 2, -2, 3, -3, 4; the
         # hodograph f * h scales the axis candidate by f^6 and keeps kind,
@@ -354,7 +353,7 @@ class TestHelixAxis:
             f = f * RatPoly([-root, 1])
         scaled = Hodograph(*(f * p for p in h.vector()))
         inv = invariants(scaled)
-        assert helix_verdict(inv, *norms(inv)) == expected
+        assert helix_verdict(inv) == expected
 
     def test_vanishing_candidate_raises(self):
         # inconsistent on purpose: rho^2 is nonzero, the cross vector is zero
@@ -363,7 +362,7 @@ class TestHelixAxis:
             (RatPoly([1]), zero, zero), RatPoly([1]), (zero, zero, zero), RatPoly([1]), zero
         )
         with pytest.raises(InternalInconsistencyError, match="vanished identically"):
-            helix_verdict(inv, *norms(inv))
+            helix_verdict(inv)
 
     def test_verdict_mismatch(self):
         # a non-helix verdict carries neither an axis nor a slope

@@ -355,24 +355,16 @@ class TestOneAnalysisPerReport:
         assert "control quaternions are all zero" in capsys.readouterr().err
 
 
-def _norms_with_wrong_body(inv):
-    """(sigma, rho) with rho's body c replaced by c + 1 and the same scale:
-    the body identity then fails on a helix."""
-    sigma, rho = perfect_square_root(inv.sigma_squared), perfect_square_root(inv.rho_squared)
-    return sigma, ScaledSqrt(rho.scale, rho.body + 1)
-
-
 # Exit code 3 is reserved for two routes that disagree.  Each fault breaks
 # one consistency check of the quintic classifier or of the constant-slope
 # test: (phelix module, attribute, replacement, message of the
 # InternalInconsistencyError it must raise).  It runs on example1, a
-# monotone helix, whose constancy test reads the norms' bodies, unless
-# FAULT_DOCS names another curve.
+# monotone helix, unless FAULT_DOCS names another curve.
 FAULTS = {
     "slope-route": (
         analysis,
         "helix_verdict",
-        lambda inv, sigma, rho: HelixVerdict(HelixKind.NOT_HELIX),
+        lambda inv: HelixVerdict(HelixKind.NOT_HELIX),
         "algebraic classification disagrees with the constant-slope test",
     ),
     "route-case": (
@@ -389,11 +381,20 @@ FAULTS = {
         ),
         "shared Hopf factor with a z-constant decomposition",
     ),
+    # a made-up rho on a curve that is not 2-PH, and no helix
     "norm-test": (
         analysis,
         "norms",
-        lambda inv: (perfect_square_root(inv.sigma_squared), None),
+        lambda inv: (
+            perfect_square_root(inv.sigma_squared), ScaledSqrt(Fraction(1), RatPoly.one())
+        ),
         "Wronskian decomposability disagrees with the polynomial-norm test",
+    ),
+    "helix-not-2ph": (
+        analysis,
+        "norms",
+        lambda inv: (perfect_square_root(inv.sigma_squared), None),
+        "helix verdict on a curve that is not 2-PH",
     ),
     "decomposition-product": (
         quintic,
@@ -401,25 +402,8 @@ FAULTS = {
         lambda w: (RatPoly([2]), w),
         "Wronskian decomposition does not multiply back",
     ),
-    "slope-ratio": (
-        analysis,
-        "_constant_ratio_value",
-        lambda inv, sigma, rho: Fraction(1),
-        "slope from axis disagrees with the torsion/curvature ratio",
-    ),
-    "wrong-body": (
-        analysis,
-        "norms",
-        _norms_with_wrong_body,
-        "algebraic classification disagrees with the constant-slope test",
-    ),
-    # the degree-36 identity, which only a curve that is not 2-PH reaches
-    "squares-ratio": (
-        analysis,
-        "_ratio_on_squares",
-        lambda inv: Fraction(1),
-        "axis identities failed",
-    ),
+    # on a planar curve the identities must hold; off it, a failure is a
+    # non-helix verdict
     "axis-identities": (
         analysis,
         "_verify_axis",
@@ -428,9 +412,13 @@ FAULTS = {
     ),
 }
 
-# a quaternion quadratic whose rho^2 is no square: its constancy test runs
-# the degree-36 identity
-FAULT_DOCS = {"squares-ratio": NOT_HELIX_DOC}
+FAULT_DOCS = {
+    "norm-test": NOT_HELIX_DOC,
+    "axis-identities": {
+        "form": "quaternion",
+        "coefficients": [["0", "0", "0", "1"], ["0", "1", "0", "0"]],
+    },
+}
 
 
 @pytest.mark.parametrize("fault", FAULTS)

@@ -1,7 +1,7 @@
 """How many Fractions a helix classify builds.
 
 A polynomial stores only its integer form (den, ints), and the helix path
-reads it: the products behind the invariants and the constancy identity,
+reads it: the products behind the invariants and the axis identities,
 the perfect squares, the Wronskian casework on Gaussian integers and the
 report's encoders and renderer.  ``coeffs`` builds a fresh tuple of
 Fractions on each read, and nothing on this path reads it.  A Fraction is
@@ -27,7 +27,7 @@ from phelix.curves import quaternion_from_hopf
 from phelix.curvespec import CurveSpec, dump_spec
 
 CURVES = 16
-BUDGET_PER_CURVE = 100
+BUDGET_PER_CURVE = 96
 
 
 def helix_specs(dest, seed: int = 1, count: int = CURVES, height: int = 12):

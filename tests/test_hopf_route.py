@@ -1,29 +1,26 @@
-"""Differential test of the constancy test against the bare degree-36 identity.
+"""Differential test of the helix verdict against the bare degree-36 identity.
 
-_constant_ratio_value checks degrees and the identity at t = 0, then
-decides the identity itself: det b^3 = mu c^3 on the norms' bodies when
-both norms are polynomials, det^2 sigma^6 = lambda rho^6 otherwise.  The
-reference below checks the degrees and decides the degree-36 identity
-directly, with no check at t = 0.  Both identities must give the
-reference's lambda or None on every input that reaches the test, the body
-identity wherever both norms exist: Hopf pairs of degree 1-4 (random,
-planar, proportional and helical), arbitrary hodographs of degree 1-4,
-which are almost never PH, and the 2-PH non-helix counterexample under
-t -> a t + b, as given and reversed.  Across the families both identities
-decide some inputs, and the body identity rejects some that pass the
-degree check.
+helix_verdict decides a curve that is neither a line nor planar by the axis
+identities alone and reads no ratio.  The reference below decides constancy
+of (tau/kappa)^2 = det^2 sigma^6 / rho^6 directly: a degree check, lambda
+from the leading coefficients, then the degree-36 identity
+det^2 sigma^6 = lambda rho^6.  The verdict's kind must be the one the
+reference implies on every input: Hopf pairs of degree 1-4 (random, planar,
+proportional and helical), arbitrary hodographs of degree 1-4, which are
+almost never PH, and the 2-PH non-helix counterexample under t -> a t + b,
+as given and reversed.  On a helix the slope^2 s must also give the
+reference's lambda = s / (1 - s).  Across the families both helices and
+non-helices are decided.
 The second run multiplies each hodograph by t.  That keeps (tau/kappa)^2
-and zeroes every constant term, also of the bodies, so the check at t = 0
-passes and every input that survives the degree check reaches the full
-identity.  The inputs among those where sigma^2 does not divide rho^2 are
-counted, by this file's own division, so the run is seen to reach them too.
+and the axis, and zeroes every constant term, so the verdict's axis scan
+passes over t = 0 and the reference reaches its full identity on every
+input that survives the degree check.
 """
 
 from collections import Counter
 
 import pytest
 
-import phelix.analysis as analysis
 from conftest import (
     compose_affine,
     rand_fraction,
@@ -46,7 +43,6 @@ from phelix import (
     hodograph_from_hopf,
     hopf_from_quaternion,
     invariants,
-    norms,
     wronskian,
 )
 from phelix.references import reference_curve
@@ -161,13 +157,10 @@ def draws(family):
 
 
 def check_family(family, items):
-    """Compare both identities with the reference on one family's inputs;
-    the kinds they decide must be the family's.  Returns a Counter of the
-    inputs decided by each identity ("bodies", "squares"), of those that
-    passed the degree check with sigma^2 not dividing rho^2 ("remainders"),
-    and of those that passed it and that the body identity rejected
-    ("body-rejects")."""
-    kinds, counts = set(), Counter()
+    """Compare the verdict, and a helix's slope, with the reference on one
+    family's inputs; the kinds they decide must be the family's.  Returns a
+    Counter of the kinds decided."""
+    kinds = Counter()
     for item in items:
         if isinstance(item, HopfPair):
             inv = invariants(hodograph_from_hopf(item))
@@ -175,29 +168,21 @@ def check_family(family, items):
             assert inv.rho_squared == 4 * inv.sigma_squared * w_norm
         else:
             inv = invariants(item)
-        sigma, rho = norms(inv)
         if inv.rho_squared.is_zero:
-            found = HelixKind.LINE
+            expected = HelixKind.LINE
         elif inv.det.is_zero:
-            found = HelixKind.PLANAR
+            expected = HelixKind.PLANAR
         else:
-            expected = reference_ratio_value(inv)
-            assert analysis._ratio_on_squares(inv) == expected
-            on_bodies = sigma is not None and rho is not None
-            if on_bodies:
-                assert analysis._ratio_on_bodies(inv.det, sigma, rho) == expected
-            counts["bodies" if on_bodies else "squares"] += 1
-            lam = analysis._constant_ratio_value(inv, sigma, rho)
-            assert lam == expected
-            found = HelixKind.NOT_HELIX if lam is None else HelixKind.HELIX
-            det, s2, rho_squared = inv.det, inv.sigma_squared, inv.rho_squared
-            if 2 * det.degree + 3 * s2.degree == 3 * rho_squared.degree:
-                counts["remainders"] += not (rho_squared % s2).is_zero
-                counts["body-rejects"] += on_bodies and lam is None
-        assert helix_verdict(inv, sigma, rho).kind == found
-        kinds.add(found)
-    assert kinds == FAMILIES[family][2]
-    return counts
+            lam = reference_ratio_value(inv)
+            expected = HelixKind.NOT_HELIX if lam is None else HelixKind.HELIX
+        verdict = helix_verdict(inv)
+        assert verdict.kind == expected
+        if expected == HelixKind.HELIX:
+            s = verdict.slope_squared
+            assert s / (1 - s) == lam
+        kinds[expected] += 1
+    assert set(kinds) == FAMILIES[family][2]
+    return kinds
 
 
 def scaled_by_t(family):
@@ -215,22 +200,18 @@ def test_routes_agree(family):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_routes_agree_without_scan(family):
-    # on t * h the identity at t = 0 reads 0 = 0, so every survivor of the
-    # degree check is settled by the full identity, also where sigma^2 does
-    # not divide rho^2 and the ratio cannot be constant
+    # on t * h every invariant's constant term is zero, so the axis scan
+    # passes over t = 0 and the reference settles its full identity
     items = scaled_by_t(family)
     for inv in map(invariants, items):
         assert not any(p.coefficient(0) for p in (inv.det, inv.sigma_squared, inv.rho_squared))
-    counts = check_family(family, items)
-    # rho^2 = 4 sigma^2 |W|^2 makes the remainder zero on every Hopf pair
-    assert (counts["remainders"] > 0) == (family == "hodograph")
+    check_family(family, items)
 
 
 @pytest.mark.parametrize("scaled", [False, True], ids=["scan", "without-scan"])
 def test_both_identities_decide_inputs(scaled):
-    counts = Counter()
+    # the axis identities decide both ways: some helices, some non-helices
+    kinds = Counter()
     for family in FAMILIES:
-        counts += check_family(family, scaled_by_t(family) if scaled else draws(family))
-    assert counts["bodies"] > 0 and counts["squares"] > 0
-    # without the scan, the full body identity rejects the reversed counterexample
-    assert counts["body-rejects"] > 0
+        kinds += check_family(family, scaled_by_t(family) if scaled else draws(family))
+    assert kinds[HelixKind.HELIX] > 0 and kinds[HelixKind.NOT_HELIX] > 0
